@@ -1,11 +1,12 @@
 """Deterministic checkpoint / resume for long-running tolerance ensembles.
 
 A 10⁵-sample Monte Carlo run is hours of solves; a crash at sample 99 000
-should not restart at sample 0.  :func:`checkpointed_ensemble_sweep` cuts the
-ensemble into fixed-size **shards** and serializes the run state after every
-shard — atomically, via a temporary file and :func:`os.replace`, so a kill at
-any instant leaves either the previous checkpoint or the new one, never a
-torn file.
+should not restart at sample 0.  :func:`checkpointed_ensemble_sweep` is the
+checkpointing preset of the shard pipeline (:mod:`repro.montecarlo.engine`):
+this module holds only the file format and the resume logic.  The run state
+is serialized after every shard — atomically, via a temporary file and
+:func:`os.replace`, so a kill at any instant leaves either the previous
+checkpoint or the new one, never a torn file.
 
 Determinism is the design constraint, not an afterthought:
 
@@ -16,9 +17,9 @@ Determinism is the design constraint, not an afterthought:
 * both batched dense kernels are batch-size invariant and the sparse /
   resilient paths solve sample-by-sample, so a shard's response rows are
   bit-for-bit the rows of the full run;
-* the streaming :class:`EnsembleStatistics` accumulators are updated once
-  per shard in fixed shard order, so a resumed run replays the identical
-  sequence of floating-point additions.
+* the pipeline's sink merges each shard's :class:`EnsembleStatistics` in
+  fixed shard order, starting from the restored state, so a resumed run
+  replays the identical sequence of floating-point additions.
 
 Together: **kill + resume is bit-identical** to never having been killed —
 same responses, same statistics, same quarantine report.
@@ -43,7 +44,8 @@ import numpy as np
 from ..engine.resilience import (SweepReport, merge_shard_report,
                                  report_from_json, report_to_json)
 from ..errors import CheckpointError
-from .engine import EnsembleResult, _normalize_output, ensemble_sweep
+from .engine import (_SUPERVISED_DEFAULTS, EnsembleResult, _resolve,
+                     _ShardSink)
 from .space import ParameterSpace
 # EnsembleStatistics grew histogram / weight extensions and moved to
 # repro.montecarlo.statistics with the other streaming estimators; this
@@ -88,11 +90,7 @@ def _space_key_digest(space) -> str:
     return digest.hexdigest()
 
 
-# _report_to_json / _report_from_json / _merge_shard_report moved to
-# repro.engine.resilience (report_to_json & friends) so the multiprocess
-# driver can share them; these aliases keep intra-package callers working.
-_report_to_json = report_to_json
-_report_from_json = report_from_json
+# Nothing here calls it: perfbench/layers.py hooks this name.
 _merge_shard_report = merge_shard_report
 
 
@@ -142,7 +140,7 @@ def _save_checkpoint(path, *, fingerprint, space_digest, seed, samples,
             stats_histogram_high_db=np.array(
                 float(statistics.histogram_high_db)),
             stats_histogram=histogram,
-            report_json=np.array(_report_to_json(report)),
+            report_json=np.array(report_to_json(report)),
         )
     os.replace(temporary, path)
 
@@ -248,7 +246,7 @@ def checkpoint_info(path) -> dict:
     ``samples``, seed, solver, and the quarantine summary so far.
     """
     state = _load_checkpoint(path)
-    report = _report_from_json(state["report_json"])
+    report = report_from_json(state["report_json"])
     return {
         "version": state["version"],
         "fingerprint": state["fingerprint"],
@@ -264,23 +262,61 @@ def checkpoint_info(path) -> dict:
     }
 
 
+def _restore(path, sink, expected, frequencies) -> None:
+    """Load ``path`` into ``sink`` after checking it belongs to this run."""
+    state = _load_checkpoint(path)
+    if state["version"] != _FORMAT_VERSION:
+        raise CheckpointError(
+            f"checkpoint {path!r} has format version {state['version']}, "
+            f"expected {_FORMAT_VERSION}")
+    for field, value in expected.items():
+        if state[field] != value:
+            raise CheckpointError(
+                f"checkpoint {path!r} belongs to a different run: "
+                f"{field} is {state[field]!r}, this run has {value!r}")
+    if not np.array_equal(state["frequencies"], frequencies):
+        raise CheckpointError(
+            f"checkpoint {path!r} belongs to a different run: "
+            "frequency grids differ")
+    completed = state["completed"]
+    if sink.responses is not None:
+        sink.responses[:completed] = state["responses"]
+    fresh = sink.statistics
+    sink.statistics = EnsembleStatistics(
+        frequencies=frequencies, count=state["stats_count"],
+        sum_db=state["stats_sum_db"], sumsq_db=state["stats_sumsq_db"],
+        min_db=state["stats_min_db"], max_db=state["stats_max_db"],
+        weight_sum=state["stats_weight_sum"],
+        weight_sumsq=state["stats_weight_sumsq"],
+        max_weight=state["stats_max_weight"],
+        histogram_bins=fresh.histogram_bins,
+        histogram_low_db=fresh.histogram_low_db,
+        histogram_high_db=fresh.histogram_high_db,
+        histogram=(state["stats_histogram"] if fresh.histogram_bins
+                   else None))
+    sink.report = report_from_json(state["report_json"])
+    sink.solver_used = state["solver_used"]
+    sink.completed = completed
+
+
 def checkpointed_ensemble_sweep(circuit, output, frequencies, space=None, *,
-                                path, samples=128, seed=0, shard_size=32,
+                                path, samples=128, seed=0,
+                                shard_size=_SUPERVISED_DEFAULTS.shard_size,
                                 max_shards=None, tolerances=None,
                                 solver="lapack", method="auto",
-                                on_failure="quarantine", policy=None,
-                                workers=None, supervisor=None,
+                                on_failure=_SUPERVISED_DEFAULTS.on_failure,
+                                policy=None, workers=None, supervisor=None,
                                 store_responses=True, histogram_bins=None,
                                 histogram_range=None) -> CheckpointedRun:
     """Run (or resume) a tolerance ensemble with periodic checkpointing.
 
     The ensemble is evaluated in shards of ``shard_size`` samples through the
-    standard :func:`~repro.montecarlo.engine.ensemble_sweep`; after each
-    shard the responses so far, the streaming :class:`EnsembleStatistics`
-    and the quarantine report are written atomically to ``path``.  If
-    ``path`` already holds a checkpoint of the *same* run (circuit
-    fingerprint, parameter-space content, seed, sample count, shard size and
-    solver configuration all match) the run resumes after its last completed
+    shard pipeline of :mod:`repro.montecarlo.engine`; after each shard the
+    responses so far, the streaming :class:`EnsembleStatistics` and the
+    quarantine report are written atomically to ``path``.  If ``path``
+    already holds a checkpoint of the *same* run (circuit fingerprint,
+    parameter-space content, seed, sample count, shard size and solver
+    configuration all match) the run resumes after its last completed
     shard; a mismatched checkpoint raises
     :class:`~repro.errors.CheckpointError`.
 
@@ -307,199 +343,83 @@ def checkpointed_ensemble_sweep(circuit, output, frequencies, space=None, *,
         completed work.
     workers, supervisor:
         ``workers`` other than ``None`` / ``1`` runs the remaining shards
-        through the supervised multiprocess driver
+        on supervised worker processes
         (:func:`~repro.montecarlo.parallel.run_shards`, configured by the
         optional :class:`~repro.montecarlo.parallel.SupervisorConfig`).
         Shards complete out of order, but the checkpoint only ever absorbs
-        the contiguous prefix — in fixed shard order — so the file on disk
-        is at all times bit-identical to one a sequential run would have
-        written, and a killed *supervisor* resumes bit-identically with
-        any worker count.
+        them in fixed shard order, so the file on disk is at all times
+        bit-identical to one a sequential run would have written, and a
+        killed *supervisor* resumes bit-identically with any worker count.
     store_responses, histogram_bins, histogram_range:
         ``store_responses=False`` switches to the streaming estimation
         mode: the checkpoint persists only the
         :class:`~repro.montecarlo.statistics.EnsembleStatistics`
-        accumulator (O(F) state, histogram included) instead of the
-        ``(M, F)`` responses, the finished result carries
-        ``ensemble.responses=None``, and memory stays O(F) regardless of
-        ``samples``.  ``histogram_bins`` / ``histogram_range`` configure
-        the streaming percentile histogram exactly as for
-        :func:`~repro.montecarlo.engine.ensemble_sweep`.  A checkpoint
-        written in one mode cannot be resumed in the other.
+        accumulator (O(F·bins) state) instead of the ``(M, F)`` responses,
+        the finished result carries ``ensemble.responses=None``, and memory
+        stays O(F·bins + chunk budget) regardless of ``samples``.
+        ``histogram_bins`` / ``histogram_range`` shape the statistics
+        histogram (off by default when responses are stored).  A
+        checkpoint written in one mode cannot be resumed in the other.
 
     Returns
     -------
     CheckpointedRun
     """
     from ..engine.session import AnalysisSession
+    from . import parallel
 
     if space is None:
         space = ParameterSpace(circuit, tolerances)
-    frequencies = np.asarray(frequencies, dtype=float)
     samples = int(samples)
     shard_size = int(shard_size)
     if shard_size <= 0:
         raise CheckpointError(f"shard_size must be positive, got {shard_size}")
+    space, frequencies, values, __, options = _resolve(
+        circuit, frequencies, space, samples=samples, seed=seed,
+        solver=solver, method=method, on_failure=on_failure, policy=policy,
+        store_responses=store_responses, histogram_bins=histogram_bins,
+        histogram_range=histogram_range)
     fingerprint = AnalysisSession.fingerprint(circuit)
     space_digest = _space_key_digest(space)
-    values = space.sample_values(samples, seed)
-
-    store_responses = bool(store_responses)
-    from .statistics import DEFAULT_HISTOGRAM_BINS, DEFAULT_HISTOGRAM_RANGE
-    if histogram_bins is None:
-        bins = 0 if store_responses else DEFAULT_HISTOGRAM_BINS
-    else:
-        bins = int(histogram_bins)
-    low, high = histogram_range or DEFAULT_HISTOGRAM_RANGE
-
-    responses = np.zeros((samples if store_responses else 0,
-                          len(frequencies)), dtype=complex)
-    statistics = EnsembleStatistics(frequencies=frequencies,
-                                    histogram_bins=bins,
-                                    histogram_low_db=float(low),
-                                    histogram_high_db=float(high))
-    resilient = on_failure == "quarantine" or policy is not None
-    report = (SweepReport(label="ensemble member", kind="sample", total=0)
-              if resilient else None)
-    completed = 0
-    solver_used = solver
-
+    sink = _ShardSink(frequencies, samples, options)
     if os.path.exists(path):
-        state = _load_checkpoint(path)
-        if state["version"] != _FORMAT_VERSION:
-            raise CheckpointError(
-                f"checkpoint {path!r} has format version {state['version']}, "
-                f"expected {_FORMAT_VERSION}")
+        bins = options.histogram_bins
         expected = {"fingerprint": fingerprint, "space_digest": space_digest,
                     "seed": int(seed), "samples": samples,
                     "shard_size": shard_size, "solver": solver,
                     "method": method, "on_failure": on_failure,
-                    "store_responses": store_responses,
+                    "store_responses": options.store_responses,
                     "stats_histogram_bins": bins}
         if bins:
-            expected["stats_histogram_low_db"] = float(low)
-            expected["stats_histogram_high_db"] = float(high)
-        for field, value in expected.items():
-            if state[field] != value:
-                raise CheckpointError(
-                    f"checkpoint {path!r} belongs to a different run: "
-                    f"{field} is {state[field]!r}, this run has {value!r}")
-        if not np.array_equal(state["frequencies"], frequencies):
-            raise CheckpointError(
-                f"checkpoint {path!r} belongs to a different run: "
-                "frequency grids differ")
-        completed = state["completed"]
-        if store_responses:
-            responses[:completed] = state["responses"]
-        statistics = EnsembleStatistics(
-            frequencies=frequencies, count=state["stats_count"],
-            sum_db=state["stats_sum_db"], sumsq_db=state["stats_sumsq_db"],
-            min_db=state["stats_min_db"], max_db=state["stats_max_db"],
-            weight_sum=state["stats_weight_sum"],
-            weight_sumsq=state["stats_weight_sumsq"],
-            max_weight=state["stats_max_weight"],
-            histogram_bins=bins, histogram_low_db=float(low),
-            histogram_high_db=float(high),
-            histogram=(state["stats_histogram"] if bins else None))
-        report = _report_from_json(state["report_json"])
-        solver_used = state["solver_used"]
-    resumed_from = completed
+            (expected["stats_histogram_low_db"],
+             expected["stats_histogram_high_db"]) = options.histogram_range
+        _restore(path, sink, expected, frequencies)
+    resumed_from = sink.completed
 
-    def fold_and_save(shard_view, start, stop):
-        """Absorb one completed shard (in order) and persist the state."""
-        nonlocal completed, solver_used
-        if store_responses:
-            responses[start:stop] = shard_view.responses
-            surviving = shard_view.surviving_mask()
-            statistics.update(shard_view.magnitudes_db()[surviving])
-        else:
-            # The shard ran in streaming mode itself; merging its
-            # zero-initialized accumulator replays the identical addition
-            # sequence a stored-mode update would have (0.0 + x == x).
-            statistics.merge(shard_view.statistics)
-        if report is not None and shard_view.report is not None:
-            _merge_shard_report(report, shard_view.report, start)
-        if report is not None:
-            report.total = stop
-        completed = stop
-        solver_used = shard_view.solver
+    def save(*__):
         _save_checkpoint(path, fingerprint=fingerprint,
                          space_digest=space_digest, seed=seed,
                          samples=samples, shard_size=shard_size,
-                         solver=solver, solver_used=solver_used,
+                         solver=solver, solver_used=sink.solver_used,
                          method=method, on_failure=on_failure,
-                         frequencies=frequencies, completed=completed,
-                         responses=responses, statistics=statistics,
-                         report=report, store_responses=store_responses)
+                         frequencies=frequencies, completed=sink.completed,
+                         responses=sink.responses,
+                         statistics=sink.statistics, report=sink.report,
+                         store_responses=options.store_responses)
 
-    shards_run = 0
-    if workers is None or workers == 1:
-        while completed < samples:
-            if max_shards is not None and shards_run >= max_shards:
-                break
-            start = completed
-            stop = min(start + shard_size, samples)
-            streaming_kwargs = ({} if store_responses else
-                                {"store_responses": False,
-                                 "shard_size": stop - start,
-                                 "histogram_bins": bins,
-                                 "histogram_range": (low, high)})
-            shard = ensemble_sweep(circuit, output, frequencies, space,
-                                   values=values[start:stop], solver=solver,
-                                   method=method, on_failure=on_failure,
-                                   policy=policy, **streaming_kwargs)
-            fold_and_save(shard, start, stop)
-            shards_run += 1
-    else:
-        # Supervised multiprocess execution of the remaining shards.  The
-        # shard plan keeps global sample indices, shards may complete out
-        # of order, and the on_shard_complete hook only ever hands us the
-        # contiguous prefix — so each fold_and_save below replays exactly
-        # the sequence of the sequential branch above.
-        from .parallel import run_shards, shard_plan
-
-        plan = shard_plan(samples, shard_size, first_sample=completed)
-        if max_shards is not None:
-            plan = plan[:max_shards]
-        folded = 0
-        shard_stats = {}
-
-        def absorb_prefix(prefix, shared_responses, shard_reports,
-                          shard_solver):
-            nonlocal folded, shards_run
-            for index in range(folded, prefix):
-                __, start, stop = plan[index]
-                shard_index = plan[index][0]
-                shard_view = EnsembleResult(
-                    frequencies=frequencies, values=values[start:stop],
-                    responses=(np.array(shared_responses[start:stop])
-                               if store_responses else None),
-                    space=space, output=_normalize_output(output),
-                    solver=shard_solver,
-                    report=shard_reports.get(shard_index),
-                    statistics=shard_stats.get(shard_index))
-                fold_and_save(shard_view, start, stop)
-                shards_run += 1
-            folded = prefix
-
-        if plan:
-            run_shards(circuit, output, frequencies, space, values, plan,
-                       solver=solver, method=method, on_failure=on_failure,
-                       policy=policy, workers=workers, config=supervisor,
-                       on_shard_complete=absorb_prefix,
-                       store_responses=store_responses,
-                       histogram_bins=bins, histogram_range=(low, high),
-                       stats_out=shard_stats)
-
-    finished = completed == samples
-    result = CheckpointedRun(finished=finished, completed=completed,
-                             total=samples, resumed_from=resumed_from,
-                             statistics=statistics, report=report, path=path)
-    if finished:
-        result.ensemble = EnsembleResult(
-            frequencies=frequencies, values=values,
-            responses=responses if store_responses else None,
-            space=space, output=_normalize_output(output), solver=solver_used,
-            report=report,
-            statistics=None if store_responses else statistics)
+    plan = parallel.shard_plan(samples, shard_size,
+                               first_sample=sink.completed)[:max_shards]
+    if plan:
+        parallel.run_shards(circuit, output, frequencies, space, values,
+                            plan, options=options,
+                            workers=1 if workers is None else workers,
+                            config=supervisor, sink=sink,
+                            on_shard_complete=save)
+    result = CheckpointedRun(finished=sink.completed == samples,
+                             completed=sink.completed, total=samples,
+                             resumed_from=resumed_from,
+                             statistics=sink.statistics, report=sink.report,
+                             path=path)
+    if result.finished:
+        result.ensemble = sink.result(values, space, output)
     return result

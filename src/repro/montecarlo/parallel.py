@@ -1,12 +1,13 @@
-"""Supervised multiprocess ensemble driver: fast *and* fault-tolerant.
+"""The shard executor and its supervised multiprocess arm.
 
-The PR 5 engine is single-process, and the PR 7 resilience layer runs
-quarantined ensembles serially so the report is deterministic — so the
-system was either fast or fault-tolerant, never both.  This module removes
-that trade-off: :func:`parallel_ensemble_sweep` shards the sample axis
-across worker *processes* under a supervisor that keeps the run alive
-through worker crashes and hangs, while keeping every result bit identical
-to an uninterrupted single-process resilient run.
+:func:`run_shards` is the one executor of the ensemble shard pipeline (see
+:mod:`repro.montecarlo.engine`): it runs a fixed shard plan inline when
+``workers == 1`` and across supervised worker *processes* otherwise, and
+hands every completed shard to the run's in-order sink.
+:func:`parallel_ensemble_sweep` is the preset that shards a whole ensemble
+across processes.  The supervisor keeps the run alive through worker
+crashes and hangs, while keeping every result bit identical to an
+uninterrupted single-process resilient run.
 
 Determinism is structural, not statistical:
 
@@ -18,10 +19,10 @@ Determinism is structural, not statistical:
   a shard's response rows are bit-for-bit the rows of the full run;
 * a re-dispatched shard re-runs the identical computation on identical
   inputs, so retries are invisible in the output;
-* per-shard :class:`~repro.engine.resilience.SweepReport`s and streaming
-  :class:`~repro.montecarlo.checkpoint.EnsembleStatistics` are merged **in
-  fixed shard order** after completion, regardless of which worker finished
-  which shard when.
+* the sink takes shards — their rows, per-shard
+  :class:`~repro.engine.resilience.SweepReport`\\ s and streaming
+  accumulators — **in fixed shard order**, regardless of which worker
+  finished which shard when.
 
 The supervisor distinguishes two failure planes:
 
@@ -31,7 +32,10 @@ The supervisor distinguishes two failure planes:
   to a healthy worker with bounded retries and backoff; the dead worker is
   replaced.  When the retry budget is exhausted the run aborts with a
   typed :class:`~repro.errors.ShardFailureError` carrying the shard index
-  and the chronological attempt trail.
+  and the chronological attempt trail.  A worker gets no shard before its
+  own first heartbeat, so interpreter start-up never counts as a hang; a
+  start-up longer than the shard deadline counts as a failed start, and
+  ``max_attempts`` failed starts in a row abort the run.
 * **numerical failure** — the escalation chain inside a worker was
   exhausted for some sample.  Exactly as in-process: with
   ``on_failure="quarantine"`` the sample is masked NaN and recorded in the
@@ -64,15 +68,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..engine.resilience import (SweepReport, merge_shard_report,
-                                 merge_telemetry, report_from_json,
-                                 report_to_json, telemetry_snapshot)
+from ..engine.resilience import (SweepReport, merge_telemetry,
+                                 telemetry_snapshot)
 from ..errors import (FormulationError, ReproError, ShardFailureError,
                       SingularMatrixError)
-from .engine import EnsembleResult, _normalize_output, ensemble_sweep
-from .space import ParameterSpace
-from .statistics import (DEFAULT_HISTOGRAM_BINS, DEFAULT_HISTOGRAM_RANGE,
-                         EnsembleStatistics, StreamingYield)
+from .engine import (_SUPERVISED_DEFAULTS, EnsembleResult, _Evaluator,
+                     _Options, _resolve, _ShardSink)
+from .statistics import EnsembleStatistics
 
 __all__ = ["SupervisorConfig", "ParallelRunInfo", "ShardRun", "shard_plan",
            "run_shards", "parallel_ensemble_sweep"]
@@ -119,10 +121,12 @@ class SupervisorConfig:
         hung, killed and replaced; its shard is re-dispatched.
     shard_deadline:
         Wall-clock budget for one shard attempt; exceeding it counts as a
-        hang even if heartbeats still arrive.
+        hang even if heartbeats still arrive.  Also bounds a worker's
+        start-up, which ends with its first heartbeat.
     max_attempts:
         Total attempts per shard (first try + retries) before the run
-        aborts with :class:`~repro.errors.ShardFailureError`.
+        aborts with :class:`~repro.errors.ShardFailureError`; also the
+        number of failed starts in a row one worker slot may have.
     backoff:
         Seconds to wait before re-dispatching a failed shard, scaled by the
         number of attempts already made.
@@ -169,26 +173,19 @@ class ParallelRunInfo:
 
 @dataclasses.dataclass
 class ShardRun:
-    """Raw outcome of :func:`run_shards` before merging.
+    """How :func:`run_shards` executed a plan.
 
-    ``responses`` holds every plan row solved (rows outside the plan are
-    untouched) — ``None`` for a streaming (``store_responses=False``) run,
-    whose per-shard accumulators live in ``statistics`` / ``yields``
-    instead; ``reports`` maps shard index → per-shard
+    ``reports`` maps shard index → per-shard
     :class:`~repro.engine.resilience.SweepReport` (``None`` on the legacy
-    raise path).
+    raise path); ``sink`` holds the merged run state — responses,
+    statistics, yields, merged report.
     """
 
-    responses: Optional[np.ndarray]
     reports: Dict[int, Optional[SweepReport]]
     attempts: Dict[int, List[str]]
-    solver_used: str
     redispatches: int
     workers: int
-    statistics: Dict[int, EnsembleStatistics] = dataclasses.field(
-        default_factory=dict)
-    yields: Dict[int, StreamingYield] = dataclasses.field(
-        default_factory=dict)
+    sink: _ShardSink
 
 
 def shard_plan(samples, shard_size, first_sample=0) -> List[Tuple[int, int, int]]:
@@ -238,7 +235,7 @@ def _heartbeat_loop(slot, heartbeats, interval, stop_event):
 
 def _worker_main(slot, payload, tasks, results, values_buffer,
                  responses_buffer, weights_buffer, heartbeats):
-    """One worker process: pull shard tasks, solve, push results.
+    """One worker process: pull shard tasks, evaluate, push outcomes.
 
     Stored mode: the worker reads its sample rows from the shared values
     buffer and writes its response rows to a disjoint slice of the shared
@@ -247,25 +244,27 @@ def _worker_main(slot, payload, tasks, results, values_buffer,
     written one.
 
     Streaming mode (``store_responses=False``): no responses buffer exists;
-    the worker folds its shard into fresh accumulators and ships them in
-    the completion message.  A kill before the message leaves *no* trace —
-    accumulators travel with the report, so a shard folds exactly once no
+    the shard's accumulators travel in the completion message.  A kill
+    before the message leaves *no* trace, so a shard folds exactly once no
     matter how many attempts it took.
     """
+    evaluator = payload["evaluator"]
     num_samples = payload["num_samples"]
     num_axes = payload["num_axes"]
-    num_points = payload["num_points"]
-    store_responses = payload["store_responses"]
-    values = np.frombuffer(values_buffer, dtype=float).reshape(
-        num_samples, num_axes)
+    num_points = len(evaluator.frequencies)
+    values = np.frombuffer(values_buffer, dtype=float,
+                           count=num_samples * num_axes).reshape(
+                               num_samples, num_axes)
     responses = None
-    if store_responses:
+    if responses_buffer is not None:
         responses = np.frombuffer(
-            responses_buffer, dtype=np.complex128).reshape(
-                num_samples, num_points)
+            responses_buffer, dtype=np.complex128,
+            count=num_samples * num_points).reshape(num_samples, num_points)
     weights = None
     if weights_buffer is not None:
         weights = np.frombuffer(weights_buffer, dtype=float)[:num_samples]
+    # The first beat says "started": the supervisor dispatches nothing to
+    # this worker before it.
     heartbeats[slot] = time.monotonic()
     stop_event = threading.Event()
     beat = threading.Thread(
@@ -292,42 +291,17 @@ def _worker_main(slot, payload, tasks, results, values_buffer,
                 raise RuntimeError(
                     f"injected crash (shard {shard}, attempt {attempt})")
             before = telemetry_snapshot()
-            if store_responses:
-                shard_result = ensemble_sweep(
-                    payload["circuit"], payload["output"],
-                    payload["frequencies"], payload["space"],
-                    values=values[start:stop], solver=payload["solver"],
-                    method=payload["method"], workers=1,
-                    on_failure=payload["on_failure"],
-                    policy=payload["policy"])
-                shard_stats = shard_yield = None
-            else:
-                shard_result = ensemble_sweep(
-                    payload["circuit"], payload["output"],
-                    payload["frequencies"], payload["space"],
-                    values=values[start:stop], solver=payload["solver"],
-                    method=payload["method"], workers=1,
-                    on_failure=payload["on_failure"],
-                    policy=payload["policy"],
-                    store_responses=False, shard_size=stop - start,
-                    histogram_bins=payload["histogram_bins"],
-                    histogram_range=payload["histogram_range"],
-                    weights=(None if weights is None
-                             else weights[start:stop]),
-                    yield_specs=payload["yield_specs"])
-                shard_stats = shard_result.statistics
-                shard_yield = shard_result.yields
+            outcome = evaluator(
+                values[start:stop],
+                None if weights is None else weights[start:stop],
+                None if responses is None else responses[start:stop])
             after = telemetry_snapshot()
             if action == "kill_after":
-                # The solve completed but the worker dies before any
-                # write-back / report: the at-most-once worst case.
+                # The solve completed but the worker dies before reporting:
+                # the at-most-once worst case.
                 os.kill(os.getpid(), signal.SIGKILL)
-            if store_responses:
-                responses[start:stop] = shard_result.responses
             delta = {key: after[key] - before[key] for key in after}
-            results.put(("done", slot, shard, attempt,
-                         report_to_json(shard_result.report), delta,
-                         shard_result.solver, shard_stats, shard_yield))
+            results.put(("done", slot, shard, attempt, outcome, delta))
         except ReproError as error:
             # Numerical failure (raise mode): forward the typed error.
             try:
@@ -353,25 +327,27 @@ class _WorkerHandle:
     process: object
     tasks: object
     results: object
+    spawned_at: float
+    failed_starts: int = 0
     shard: Optional[int] = None
     attempt: int = 0
     dispatched_at: float = 0.0
 
 
-def _spawn_worker(context, slot, payload, values_buffer, responses_buffer,
-                  weights_buffer, heartbeats) -> _WorkerHandle:
+def _spawn_worker(context, slot, payload, buffers, heartbeats,
+                  failed_starts=0) -> _WorkerHandle:
     tasks = context.Queue()
     results = context.Queue()
+    # 0.0 = not started yet; the worker stamps its own first heartbeat.
+    heartbeats[slot] = 0.0
     process = context.Process(
         target=_worker_main,
-        args=(slot, payload, tasks, results, values_buffer,
-              responses_buffer, weights_buffer, heartbeats),
+        args=(slot, payload, tasks, results, *buffers, heartbeats),
         daemon=True, name=f"repro-ensemble-worker-{slot}")
     process.start()
-    # A fresh worker must not be declared hung before its first beat.
-    heartbeats[slot] = time.monotonic()
     return _WorkerHandle(slot=slot, process=process, tasks=tasks,
-                         results=results)
+                         results=results, spawned_at=time.monotonic(),
+                         failed_starts=failed_starts)
 
 
 def _stop_worker(handle) -> None:
@@ -401,142 +377,116 @@ def _shutdown(handles) -> None:
 
 
 def run_shards(circuit, output, frequencies, space, values, plan, *,
-               solver="lapack", method="auto", on_failure="quarantine",
-               policy=None, workers=None, config=None,
-               on_shard_complete=None, store_responses=True,
-               weights=None, yield_specs=None, histogram_bins=None,
-               histogram_range=None, stats_out=None,
-               yields_out=None) -> ShardRun:
-    """Execute a fixed shard plan, supervised, and return raw outcomes.
+               options=None, weights=None, workers=None, config=None,
+               sink=None, on_shard_complete=None) -> ShardRun:
+    """Execute a fixed shard plan and hand each shard to the sink in order.
 
-    The workhorse under both :func:`parallel_ensemble_sweep` and the
-    ``workers=`` arm of
-    :func:`~repro.montecarlo.checkpoint.checkpointed_ensemble_sweep`.
-    ``plan`` rows index into ``values`` (and the returned ``responses``),
-    so a resumed checkpoint can run just its remaining tail with global
-    sample indices.
+    The one executor under every matrix ensemble driver.  It builds the
+    evaluator once, in this process, from ``circuit`` / ``output`` /
+    ``space`` and the resolved ``options`` (default: a quarantining,
+    stored-response run).  ``plan`` rows index into ``values`` (and the
+    sink's responses), so a resumed checkpoint can run just its remaining
+    tail with global sample indices.  ``weights`` carries optional
+    per-sample likelihood ratios (global indexing).
 
+    ``workers=1`` runs the plan inline (no subprocesses, no fault
+    injection; ``options.threads`` threads inside each shard) — the
+    bit-parity reference for every multi-worker run.  Otherwise ``workers``
+    supervised processes (default :func:`_default_workers`) evaluate the
+    shards with one thread each: values travel through shared memory,
+    stored rows come back through a shared buffer, streaming accumulators
+    in the completion message.
+
+    ``sink`` (default: a fresh one for ``options``) takes every shard in
+    fixed plan order, however the shards finished; after each,
     ``on_shard_complete(prefix_shards, responses, reports, solver_used)``
-    fires in the supervisor whenever the **contiguous** completed prefix of
-    ``plan`` advances — shards may finish out of order, but the callback
-    only ever sees an in-order prefix, which is what lets the checkpoint
-    layer fold + save deterministically mid-run.
-
-    ``store_responses=False`` switches to streaming: no shared responses
-    buffer is allocated, each shard's rows are folded worker-side into
-    per-shard :class:`~repro.montecarlo.statistics.EnsembleStatistics` /
-    :class:`~repro.montecarlo.statistics.StreamingYield` accumulators that
-    travel back in the completion message, and the returned
-    ``ShardRun.responses`` is ``None``.  ``stats_out`` / ``yields_out``
-    (optional dicts) are filled with the per-shard accumulators *as results
-    arrive* — before ``on_shard_complete`` fires for them — which is how
-    the checkpoint layer folds streaming shards mid-run.  ``weights``
-    carries optional per-sample likelihood ratios (global indexing, shipped
-    through shared memory).
-
-    ``workers=1`` executes the plan sequentially in-process (no
-    subprocesses, no fault injection) — the bit-parity reference for every
-    multi-worker run.
+    fires in this process, which is how the checkpoint preset saves
+    mid-run.
     """
-    config = config or SupervisorConfig()
-    values = np.ascontiguousarray(np.asarray(values, dtype=float))
+    options = options or _Options()
+    values = np.ascontiguousarray(values, dtype=float)
     frequencies = np.asarray(frequencies, dtype=float)
-    num_samples, num_axes = values.shape
-    num_points = len(frequencies)
+    evaluator = _Evaluator.build(circuit, output, frequencies, space,
+                                 options)
+    if sink is None:
+        sink = _ShardSink(frequencies, values.shape[0], options)
     if workers is None:
         workers = _default_workers()
     workers = max(1, min(int(workers), max(1, len(plan))))
     if weights is not None:
-        weights = np.ascontiguousarray(np.asarray(weights, dtype=float))
+        weights = np.ascontiguousarray(weights, dtype=float)
+    run = ShardRun(reports={}, attempts=collections.defaultdict(list),
+                   redispatches=0, workers=workers, sink=sink)
 
-    attempts: Dict[int, List[str]] = collections.defaultdict(list)
-    reports: Dict[int, Optional[SweepReport]] = {}
-    statistics = {} if stats_out is None else stats_out
-    yields = {} if yields_out is None else yields_out
-    solver_used = solver
-    bounds = {shard: (start, stop) for shard, start, stop in plan}
-    streaming_kwargs = {
-        "store_responses": False, "histogram_bins": histogram_bins,
-        "histogram_range": histogram_range, "yield_specs": yield_specs}
+    def absorb(prefix, outcome, rows=None):
+        shard, start, stop = plan[prefix]
+        sink.absorb(start, stop, outcome, rows)
+        run.reports[shard] = outcome.report
+        if on_shard_complete is not None:
+            on_shard_complete(prefix + 1, sink.responses, run.reports,
+                              sink.solver_used)
 
     if workers == 1:
-        responses = (np.zeros((num_samples, num_points), dtype=complex)
-                     if store_responses else None)
         for prefix, (shard, start, stop) in enumerate(plan):
-            extra = {}
-            if not store_responses:
-                extra = dict(streaming_kwargs, shard_size=stop - start,
-                             weights=(None if weights is None
-                                      else weights[start:stop]))
-            shard_result = ensemble_sweep(
-                circuit, output, frequencies, space,
-                values=values[start:stop], solver=solver, method=method,
-                workers=1, on_failure=on_failure, policy=policy, **extra)
-            if store_responses:
-                responses[start:stop] = shard_result.responses
-            else:
-                statistics[shard] = shard_result.statistics
-                if shard_result.yields is not None:
-                    yields[shard] = shard_result.yields
-            reports[shard] = shard_result.report
-            solver_used = shard_result.solver
-            attempts[shard].append("attempt 1 in-process: completed")
-            if on_shard_complete is not None:
-                on_shard_complete(prefix + 1, responses, reports,
-                                  solver_used)
-        return ShardRun(responses=responses, reports=reports,
-                        attempts=dict(attempts), solver_used=solver_used,
-                        redispatches=0, workers=1, statistics=statistics,
-                        yields=yields)
+            outcome = evaluator(
+                values[start:stop],
+                None if weights is None else weights[start:stop],
+                None if sink.responses is None else sink.responses[start:stop],
+                options.threads)
+            run.attempts[shard].append("attempt 1 in-process: completed")
+            absorb(prefix, outcome)
+    else:
+        _supervise(evaluator, values, weights, plan, workers,
+                   config or SupervisorConfig(), run, absorb)
+    run.attempts = dict(run.attempts)
+    return run
 
+
+def _supervise(evaluator, values, weights, plan, workers, config, run,
+               absorb) -> None:
+    """Run ``plan`` on supervised worker processes (see the module doc)."""
+    num_samples, num_axes = values.shape
+    num_points = len(evaluator.frequencies)
+    store_responses = evaluator.options.store_responses
     context = multiprocessing.get_context(
         config.start_method or _start_method())
     values_buffer = RawArray("d", max(1, num_samples * num_axes))
     np.frombuffer(values_buffer, dtype=float)[:values.size] = values.ravel()
+    responses = responses_buffer = None
     if store_responses:
         responses_buffer = RawArray("d", max(1, 2 * num_samples * num_points))
         responses = np.frombuffer(
             responses_buffer, dtype=np.complex128,
             count=num_samples * num_points).reshape(num_samples, num_points)
-    else:
-        # Streaming: accumulators ride the result queue; the O(M×F) shared
-        # buffer — the very thing this mode removes — is never allocated.
-        responses_buffer = None
-        responses = None
+    # Streaming: accumulators ride the result queue; the O(M×F) shared
+    # buffer — the very thing that mode removes — is never allocated.
     weights_buffer = None
     if weights is not None:
         weights_buffer = RawArray("d", max(1, num_samples))
         np.frombuffer(weights_buffer,
                       dtype=float)[:weights.size] = weights.ravel()
+    buffers = (values_buffer, responses_buffer, weights_buffer)
     heartbeats = RawArray("d", workers)
-
     payload = {
-        "circuit": circuit, "output": output, "frequencies": frequencies,
-        "space": space, "solver": solver, "method": method,
-        "on_failure": on_failure, "policy": policy,
-        "num_samples": num_samples, "num_axes": num_axes,
-        "num_points": num_points,
-        "store_responses": store_responses,
-        "yield_specs": yield_specs,
-        "histogram_bins": histogram_bins,
-        "histogram_range": histogram_range,
+        "evaluator": evaluator, "num_samples": num_samples,
+        "num_axes": num_axes,
         "heartbeat_interval": config.heartbeat_interval,
         "fault_plan": _FAULT_PLAN,
     }
 
+    attempts = run.attempts
+    bounds = {shard: (start, stop) for shard, start, stop in plan}
     pending = collections.deque(shard for shard, _, __ in plan)
     ready_at: Dict[int, float] = {}
     attempt_counts: Dict[int, int] = collections.defaultdict(int)
     completed = set()
+    outcomes = {}        # completed shards the sink has not taken yet
     prefix = 0
-    redispatches = 0
-    handles = [_spawn_worker(context, slot, payload, values_buffer,
-                             responses_buffer, weights_buffer, heartbeats)
+    handles = [_spawn_worker(context, slot, payload, buffers, heartbeats)
                for slot in range(workers)]
     failure: List[BaseException] = []
 
     def requeue(handle, reason):
-        nonlocal redispatches
         shard = handle.shard
         handle.shard = None
         attempts[shard].append(reason)
@@ -549,24 +499,40 @@ def run_shards(circuit, output, frequencies, space, values, plan, *,
                 shard=shard, start=start, stop=stop,
                 attempts=attempts[shard]))
             return
-        redispatches += 1
+        run.redispatches += 1
         ready_at[shard] = (time.monotonic()
                            + config.backoff * attempt_counts[shard])
         pending.appendleft(shard)
 
-    def replace(index, reason=None):
+    def replace(index, reason=None, failed_starts=0):
         handle = handles[index]
         if handle.shard is not None:
             requeue(handle, reason)
         _stop_worker(handle)
         handles[index] = _spawn_worker(context, handle.slot, payload,
-                                       values_buffer, responses_buffer,
-                                       weights_buffer, heartbeats)
+                                       buffers, heartbeats, failed_starts)
+
+    def failed_start(index, reason):
+        """A worker died or overran the deadline before its first beat."""
+        handle = handles[index]
+        if handle.failed_starts + 1 < config.max_attempts:
+            replace(index, failed_starts=handle.failed_starts + 1)
+            return
+        shard = next(row for row in plan if row[0] not in completed)[0]
+        start, stop = bounds[shard]
+        trail = attempts[shard] + [
+            f"worker {handle.slot} failed to start "
+            f"{config.max_attempts} times in a row ({reason})"]
+        failure.append(ShardFailureError(
+            f"shard {shard} (samples {start}:{stop}) cannot run: "
+            f"{trail[-1]}", shard=shard, start=start, stop=stop,
+            attempts=trail))
 
     def dispatch():
         now = time.monotonic()
         for handle in handles:
-            if handle.shard is not None or not pending:
+            if (handle.shard is not None or not pending
+                    or heartbeats[handle.slot] == 0.0):
                 continue
             for candidate in list(pending):
                 if ready_at.get(candidate, 0.0) > now:
@@ -580,36 +546,27 @@ def run_shards(circuit, output, frequencies, space, values, plan, *,
                 handle.tasks.put((candidate, start, stop, handle.attempt))
                 break
 
-    def advance_prefix():
-        nonlocal prefix
-        moved = False
-        while prefix < len(plan) and plan[prefix][0] in completed:
-            prefix += 1
-            moved = True
-        if moved and on_shard_complete is not None:
-            on_shard_complete(prefix, responses, reports, solver_used)
-
     def handle_message(handle, message):
+        nonlocal prefix
         kind, slot, shard, attempt, *rest = message
         if kind == "done":
-            report_json, delta, shard_solver, shard_stats, shard_yield = rest
+            outcome, delta = rest
             if handle.shard == shard:
                 handle.shard = None
-            if shard not in completed:
-                completed.add(shard)
-                if shard in pending:      # late result beat a re-dispatch
-                    pending.remove(shard)
-                reports[shard] = report_from_json(report_json)
-                if shard_stats is not None:
-                    statistics[shard] = shard_stats
-                if shard_yield is not None:
-                    yields[shard] = shard_yield
-                merge_telemetry(delta)
-                attempts[shard].append(
-                    f"attempt {attempt} on worker {slot}: completed")
-                nonlocal solver_used
-                solver_used = shard_solver
-                advance_prefix()
+            if shard in completed:
+                return
+            completed.add(shard)
+            if shard in pending:      # late result beat a re-dispatch
+                pending.remove(shard)
+            outcomes[shard] = outcome
+            merge_telemetry(delta)
+            attempts[shard].append(
+                f"attempt {attempt} on worker {slot}: completed")
+            while prefix < len(plan) and plan[prefix][0] in outcomes:
+                __, start, stop = plan[prefix]
+                absorb(prefix, outcomes.pop(plan[prefix][0]),
+                       None if responses is None else responses[start:stop])
+                prefix += 1
         elif kind == "numerical":
             error = rest[0]
             if not isinstance(error, BaseException):
@@ -619,6 +576,26 @@ def run_shards(circuit, output, frequencies, space, values, plan, *,
             requeue(handle, f"attempt {attempt} on worker {slot}: "
                             f"uncaught worker exception ({rest[0]})")
 
+    def check_health(index, handle, now):
+        if handle.shard is None:
+            if heartbeats[handle.slot] != 0.0:
+                if not handle.process.is_alive():
+                    replace(index)
+            elif not handle.process.is_alive():
+                failed_start(index, "died with exit code "
+                                    f"{handle.process.exitcode}")
+            elif now - handle.spawned_at > config.shard_deadline:
+                failed_start(index, "no heartbeat within the shard deadline")
+            return
+        trail = f"attempt {handle.attempt} on worker {handle.slot}"
+        if not handle.process.is_alive():
+            replace(index, f"{trail}: worker died (exit code "
+                           f"{handle.process.exitcode})")
+        elif now - heartbeats[handle.slot] > config.heartbeat_timeout:
+            replace(index, f"{trail}: heartbeat lost (worker hung)")
+        elif now - handle.dispatched_at > config.shard_deadline:
+            replace(index, f"{trail}: shard deadline exceeded")
+
     try:
         while len(completed) < len(plan) and not failure:
             dispatch()
@@ -626,50 +603,23 @@ def run_shards(circuit, output, frequencies, space, values, plan, *,
             for handle in handles:
                 try:
                     message = handle.results.get_nowait()
-                except queue_module.Empty:
-                    continue
-                except (EOFError, OSError):
+                except (queue_module.Empty, EOFError, OSError):
                     continue
                 progressed = True
                 handle_message(handle, message)
                 if failure:
                     break
-            if failure:
-                break
             now = time.monotonic()
             for index, handle in enumerate(handles):
-                if handle.shard is not None:
-                    if not handle.process.is_alive():
-                        replace(index,
-                                f"attempt {handle.attempt} on worker "
-                                f"{handle.slot}: worker died (exit code "
-                                f"{handle.process.exitcode})")
-                    elif (now - heartbeats[handle.slot]
-                          > config.heartbeat_timeout):
-                        replace(index,
-                                f"attempt {handle.attempt} on worker "
-                                f"{handle.slot}: heartbeat lost (worker "
-                                "hung)")
-                    elif (now - handle.dispatched_at
-                          > config.shard_deadline):
-                        replace(index,
-                                f"attempt {handle.attempt} on worker "
-                                f"{handle.slot}: shard deadline exceeded")
-                elif not handle.process.is_alive():
-                    replace(index)
                 if failure:
                     break
+                check_health(index, handle, now)
             if not progressed and not failure:
                 time.sleep(config.poll_interval)
     finally:
         _shutdown(handles)
-
     if failure:
         raise failure[0]
-    return ShardRun(responses=responses, reports=reports,
-                    attempts=dict(attempts), solver_used=solver_used,
-                    redispatches=redispatches, workers=workers,
-                    statistics=statistics, yields=yields)
 
 
 # --------------------------------------------------------------------------- #
@@ -679,10 +629,11 @@ def run_shards(circuit, output, frequencies, space, values, plan, *,
 
 def parallel_ensemble_sweep(circuit, output, frequencies, space=None, *,
                             values=None, samples=128, seed=0,
-                            sampler="random", shard_size=32, workers=None,
-                            solver="lapack", method="auto",
-                            on_failure="quarantine", policy=None,
-                            config=None, store_responses=True,
+                            sampler="random",
+                            shard_size=_SUPERVISED_DEFAULTS.shard_size,
+                            workers=None, solver="lapack", method="auto",
+                            on_failure=_SUPERVISED_DEFAULTS.on_failure,
+                            policy=None, config=None, store_responses=True,
                             histogram_bins=None, histogram_range=None,
                             weights=None, yield_specs=None) -> EnsembleResult:
     """Evaluate a tolerance ensemble across supervised worker processes.
@@ -710,7 +661,7 @@ def parallel_ensemble_sweep(circuit, output, frequencies, space=None, *,
         bit-identical statistics streams.
     workers:
         Worker processes (default: ``REPRO_PARALLEL_WORKERS`` or the CPU
-        count).  ``1`` = sequential in-process execution.
+        count).  ``1`` = in-process execution.
     on_failure:
         Defaults to ``"quarantine"`` — the whole point of a supervised run
         is that neither a bad sample nor a bad worker kills it.
@@ -721,120 +672,32 @@ def parallel_ensemble_sweep(circuit, output, frequencies, space=None, *,
         :func:`~repro.montecarlo.engine.ensemble_sweep`: with
         ``store_responses=False`` workers fold their shards into
         accumulators and ship those instead of response rows (no O(M×F)
-        shared buffer exists at all), the supervisor merges them **in fixed
-        shard order** once the plan completes, and the result carries
-        ``responses=None`` with ``statistics`` / ``yields`` populated —
-        bit-identical to the sequential streaming run at the same
-        ``shard_size``, for every worker count.
+        shared buffer exists at all), the sink merges them **in fixed
+        shard order**, and the result carries ``responses=None`` with
+        ``statistics`` / ``yields`` populated — bit-identical to the
+        sequential streaming run at the same ``shard_size``, for every
+        worker count.  A stored run also folds ``result.parallel.
+        statistics``, so ``histogram_bins`` / ``histogram_range`` shape it
+        in either mode.
 
     Raises
     ------
     ShardFailureError
         When some shard exhausts its infrastructure retry budget.
     """
-    if on_failure not in ("raise", "quarantine"):
-        raise FormulationError(f"unknown failure mode {on_failure!r}")
-    if space is None:
-        space = ParameterSpace(circuit)
-    frequencies = np.asarray(frequencies, dtype=float)
-    if values is None:
-        values = space.sample_values(samples, seed, method=sampler)
-    else:
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2 or values.shape[1] != len(space):
-            raise FormulationError(
-                f"values must be (M, {len(space)}), got {values.shape}")
-    num_samples = values.shape[0]
-    plan = shard_plan(num_samples, shard_size)
-    resilient = on_failure == "quarantine" or policy is not None
-    output_normalized = _normalize_output(output)
-
-    if store_responses:
-        for name, value in (("histogram_bins", histogram_bins),
-                            ("histogram_range", histogram_range),
-                            ("weights", weights),
-                            ("yield_specs", yield_specs)):
-            if value is not None:
-                raise FormulationError(
-                    f"{name} requires the streaming mode "
-                    "(store_responses=False)")
-    else:
-        if weights is not None:
-            weights = np.asarray(weights, dtype=float)
-            if weights.shape != (num_samples,):
-                raise FormulationError(
-                    f"weights must be ({num_samples},), got {weights.shape}")
-        bins = (DEFAULT_HISTOGRAM_BINS if histogram_bins is None
-                else int(histogram_bins))
-        low, high = (DEFAULT_HISTOGRAM_RANGE if histogram_range is None
-                     else histogram_range)
-        run = run_shards(circuit, output, frequencies, space, values, plan,
-                         solver=solver, method=method, on_failure=on_failure,
-                         policy=policy, workers=workers, config=config,
-                         store_responses=False, weights=weights,
-                         yield_specs=yield_specs, histogram_bins=bins,
-                         histogram_range=(low, high))
-        statistics = EnsembleStatistics(
-            frequencies=frequencies, histogram_bins=bins,
-            histogram_low_db=float(low), histogram_high_db=float(high))
-        yields = None
-        if yield_specs is not None:
-            specs = (list(yield_specs)
-                     if isinstance(yield_specs, (list, tuple))
-                     else [yield_specs])
-            yields = StreamingYield(spec_names=[spec.name for spec in specs])
-        merged = (SweepReport(label="ensemble member", kind="sample",
-                              total=num_samples) if resilient else None)
-        # Fixed shard order: merging each shard accumulator into exact
-        # zeros replays the sequential fold addition-for-addition, so the
-        # result is bit-identical for every worker count.
-        for shard, start, stop in plan:
-            shard_stats = run.statistics.get(shard)
-            if shard_stats is not None:
-                statistics.merge(shard_stats)
-            shard_yield = run.yields.get(shard)
-            if yields is not None and shard_yield is not None:
-                yields.merge(shard_yield)
-            if merged is not None and run.reports.get(shard) is not None:
-                merge_shard_report(merged, run.reports[shard], start)
-        info = ParallelRunInfo(workers=run.workers,
-                               shard_size=int(shard_size),
-                               shards=len(plan),
-                               redispatches=run.redispatches,
-                               attempts=run.attempts, statistics=statistics)
-        return EnsembleResult(frequencies=frequencies, values=values,
-                              responses=None, space=space,
-                              output=output_normalized,
-                              solver=run.solver_used, report=merged,
-                              parallel=info, statistics=statistics,
-                              yields=yields, weights=weights)
-
+    space, frequencies, values, weights, options = _resolve(
+        circuit, frequencies, space, values, samples=samples, seed=seed,
+        sampler=sampler, solver=solver, method=method,
+        on_failure=on_failure, policy=policy,
+        store_responses=store_responses, histogram_bins=histogram_bins,
+        histogram_range=histogram_range, weights=weights,
+        yield_specs=yield_specs)
+    plan = shard_plan(values.shape[0], shard_size)
     run = run_shards(circuit, output, frequencies, space, values, plan,
-                     solver=solver, method=method, on_failure=on_failure,
-                     policy=policy, workers=workers, config=config)
-
-    responses = np.array(run.responses, copy=True)
-    statistics = EnsembleStatistics(frequencies=frequencies)
-    merged = (SweepReport(label="ensemble member", kind="sample",
-                          total=num_samples) if resilient else None)
-    # Fixed shard order: the exact statistics stream of a checkpointed or
-    # sequential run with the same shard_size, whatever the completion
-    # order was.
-    for shard, start, stop in plan:
-        shard_view = EnsembleResult(
-            frequencies=frequencies, values=values[start:stop],
-            responses=responses[start:stop], space=space,
-            output=output_normalized, solver=run.solver_used,
-            report=run.reports.get(shard))
-        statistics.update(
-            shard_view.magnitudes_db()[shard_view.surviving_mask()])
-        if merged is not None and run.reports.get(shard) is not None:
-            merge_shard_report(merged, run.reports[shard], start)
-
+                     options=options, weights=weights, workers=workers,
+                     config=config)
     info = ParallelRunInfo(workers=run.workers, shard_size=int(shard_size),
                            shards=len(plan), redispatches=run.redispatches,
-                           attempts=run.attempts, statistics=statistics)
-    return EnsembleResult(frequencies=frequencies, values=values,
-                          responses=responses, space=space,
-                          output=output_normalized, solver=run.solver_used,
-                          report=merged, parallel=info)
+                           attempts=run.attempts,
+                           statistics=run.sink.statistics)
+    return run.sink.result(values, space, output, weights, parallel=info)

@@ -361,7 +361,8 @@ class TestStoredModeGuards:
 class TestMemoryRegression:
     """A 10⁵-sample streaming run must stay O(F), not O(M×F)."""
 
-    def test_streaming_peak_allocation_bounded(self, ladder):
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_streaming_peak_allocation_bounded(self, ladder, workers):
         circuit, spec, space = ladder
         samples = 100_000
         frequencies = np.logspace(1, 6, 64)
@@ -377,7 +378,7 @@ class TestMemoryRegression:
             baseline, __ = tracemalloc.get_traced_memory()
             run = ensemble_sweep(circuit, spec, frequencies, space,
                                  values=values, store_responses=False,
-                                 shard_size=1024)
+                                 shard_size=1024, workers=workers)
             __, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
