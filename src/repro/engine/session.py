@@ -44,15 +44,13 @@ __all__ = ["AnalysisSession"]
 
 #: Kept sweep factorizations are the one cache kind whose entries are large
 #: (per-point LU factors for a whole grid), so only the most recent grids are
-#: retained — bounded both by count and by estimated retained bytes; all
+#: retained — bounded both by count and by retained bytes; all
 #: other kinds are unbounded until :meth:`AnalysisSession.invalidate`.
 _MAX_SWEEP_ENTRIES = 16
 
-#: Estimated retained-factor budget across all cached sweeps (~256 MB).  A
-#: sweep's factors cost about ``num_points · n² · 16`` bytes on the dense
-#: path; sparse sweeps are costed by their actual stored entries — pricing
-#: them at n² would evict every sweep of a post-layout-scale network even
-#: though ordered sparse factors stay near ``nnz + fill`` per point.
+#: Retained-factor budget across all cached sweeps (~256 MB), counted as the
+#: kept chunk stacks' bytes: ``n² · 16`` per point on the dense path,
+#: ``slots · 16`` (entries plus fill) per point on the sparse path.
 _MAX_SWEEP_BYTES = 256 * 1024 * 1024
 
 #: Compiled transfer models carry dense (groups × free-symbols) incidence
@@ -60,18 +58,6 @@ _MAX_SWEEP_BYTES = 256 * 1024 * 1024
 #: is a few hundred KB) — so the compiled cache is LRU-bounded by count
 #: like the kept-sweep cache.
 _MAX_COMPILED_ENTRIES = 16
-
-
-def _sweep_cost_bytes(sweep) -> int:
-    """Pessimistic estimate of one kept sweep's factor memory."""
-    if sweep.is_dense:
-        return sweep.num_points * sweep.dimension * sweep.dimension * 16
-    entries = 0
-    for factorization in sweep.factors:
-        entries += sum(len(row) for row in factorization.upper_rows)
-        entries += sum(len(step) for step in factorization.eliminations)
-    # Complex value plus dict/index bookkeeping per stored entry.
-    return entries * 24
 
 
 class AnalysisSession:
@@ -205,7 +191,7 @@ class AnalysisSession:
         self._sweeps[key] = sweep
         while len(self._sweeps) > 1 and (
                 len(self._sweeps) > _MAX_SWEEP_ENTRIES
-                or sum(map(_sweep_cost_bytes, self._sweeps.values()))
+                or sum(kept.nbytes for kept in self._sweeps.values())
                 > _MAX_SWEEP_BYTES):
             del self._sweeps[next(iter(self._sweeps))]
         return sweep

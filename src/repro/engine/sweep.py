@@ -12,10 +12,22 @@ owns the whole strategy:
   per chunk;
 * **sparse path** — the union sparsity structure is assembled once, a
   fill-reducing elimination order (:mod:`repro.linalg.ordering`, AMD by
-  default) is computed from it, the ordered pivot search runs at the first
-  point and every other point is served by numeric refactorization
-  (:func:`~repro.linalg.lu.sparse_lu_reusing`), falling back to a fresh
-  ordered factorization only when a reused pivot degrades.
+  default) is computed from it, and the ordered pivot search runs at the
+  first point (:func:`~repro.linalg.lu.sparse_lu_reusing`).  Its pivot
+  order becomes a :class:`~repro.linalg.lu.SparseRefactorPlan` (one slot per
+  L/U entry, fill included, built once per pattern), and the other points
+  are refactored along it in chunks: one broadcast assembles a chunk's
+  values, one :class:`~repro.linalg.lu.BatchedSparseLU` pass factors them.
+  A chunk holds as many points as keep ``points × slots`` within the
+  :func:`~repro.linalg.dense.chunk_points` budget (the dense path's
+  ``_SWEEP_CHUNK_ELEMENTS``).  A point whose reused pivot is zero or below
+  ``1e-8`` of its column maximum ends its chunk; the scalar
+  :func:`~repro.linalg.lu.sparse_lu_reusing` serves it (fresh pivoting, or
+  ``SingularMatrixError`` naming the point), and the next chunk replays the
+  new pattern.  So pivot choices and counters are the per-point ones.  The
+  batched kernel rounds like the scalar code, so results match the
+  per-point path bit for bit whenever no matrix entry is exactly zero, and
+  to rounding otherwise.
 
 :class:`SweepEngine` streams factors (factor, use, discard — the memory-light
 shape of ``ac_sweep``); :class:`SweepFactors` keeps them (the shape of
@@ -34,8 +46,8 @@ from ..errors import (FormulationError, SingularMatrixError,
                       SolveFailureError)
 from ..linalg.config import (SPARSE_ORDERINGS, dense_cutoff, sparse_ordering,
                              use_dense)
-from ..linalg.dense import batched_dense_lu, sweep_chunk_size
-from ..linalg.lu import sparse_lu_reusing
+from ..linalg.dense import batched_dense_lu, chunk_points, sweep_chunk_size
+from ..linalg.lu import BatchedSparseLU, SparseRefactorPlan, sparse_lu_reusing
 from ..linalg.ordering import fill_reducing_order
 from ..linalg.sparse import SparseMatrix
 from .resilience import (SolvePolicy, SweepReport, resilient_sparse_solve,
@@ -82,7 +94,8 @@ class SweepEngine:
         Full (pivot-searching) factorizations performed; the dense path
         counts one per sweep point.
     refactorization_count:
-        Structure-reusing numeric refactorizations (sparse path only).
+        Structure-reusing numeric refactorizations (sparse path only), one
+        per point, whether replayed in a chunk or by the scalar fallback.
     dense_cutoff:
         The dense/sparse dispatch cutoff, snapshotted at construction
         (``REPRO_DENSE_CUTOFF`` is read once per engine, so one engine never
@@ -113,6 +126,8 @@ class SweepEngine:
         #: resilient solve (``None`` after a legacy, non-resilient call).
         self.last_report = None
         self._sparse_pattern = None
+        self._sparse_plan = None
+        self._plan_pattern = None
         self._column_order = None
 
     @property
@@ -172,35 +187,104 @@ class SweepEngine:
                 )
             yield start, factorization
 
-    def sparse_factors(self, s, conductance_scale=1.0, frequency_scale=1.0):
-        """Yield ``(k, LUFactorization)`` per sweep point.
+    def sparse_chunks(self, s, conductance_scale=1.0, frequency_scale=1.0):
+        """Yield ``(start, BatchedSparseLU)`` chunks covering the sweep.
 
         The union sparsity structure comes from the formulation's cache; the
         pivot order found at the first point — along the engine's
-        fill-reducing :meth:`column_order` — is replayed everywhere else via
-        numeric refactorization, with a fresh ordered search as fallback.
+        fill-reducing :meth:`column_order` — is replayed over whole chunks
+        by :meth:`~repro.linalg.lu.SparseRefactorPlan.refactor` (see
+        :meth:`_sparse_chunks`).
+
+        Raises
+        ------
+        SingularMatrixError
+            When no acceptable pivot exists at some sweep point; the error's
+            ``sweep_point`` names it.
         """
-        keys, constant_values, dynamic_values = (
+        __, constant_values, dynamic_values = (
             self.formulation.merged_sparse_structure())
-        n = self.formulation.dimension
-        order = self.column_order()
         base = (constant_values if conductance_scale == 1.0
                 else conductance_scale * constant_values)
-        for k, point in enumerate(s):
-            factor = complex(point)
-            if frequency_scale != 1.0:
-                factor = factor * frequency_scale
-            values = base + factor * dynamic_values
-            matrix = SparseMatrix.from_entries(n, n,
-                                               zip(keys, values.tolist()))
-            factorization, self._sparse_pattern, refactored = (
-                sparse_lu_reusing(matrix, self._sparse_pattern,
-                                  column_order=order))
+        yield from self._sparse_chunks(np.asarray(s, dtype=complex), base,
+                                       dynamic_values, frequency_scale)
+
+    def _refactor_plan(self):
+        """The slot plan of the current pivot pattern, built once per pattern."""
+        if self._plan_pattern is not self._sparse_pattern:
+            keys, __, __ = self.formulation.merged_sparse_structure()
+            pattern = self._sparse_pattern
+            self._sparse_plan = SparseRefactorPlan(
+                self.formulation.dimension, keys, pattern.pivot_rows,
+                pattern.pivot_cols)
+            self._plan_pattern = pattern
+        return self._sparse_plan
+
+    def _sparse_chunks(self, s, base, dynamic, frequency_scale, where=""):
+        """Factor ``base + s_k·f·dynamic`` over the sweep, chunk by chunk.
+
+        Each chunk holds as many points as fit ``points × slots`` into the
+        :func:`~repro.linalg.dense.chunk_points` budget, its values
+        assembled in one broadcast.  Scalar
+        :func:`~repro.linalg.lu.sparse_lu_reusing` serves the first point
+        with no pattern and the first point of a chunk whose reused pivot
+        is zero or degraded (falling back to fresh pivoting, whose new
+        pattern and plan serve the points after it) as one-point chunks, so
+        pivot choices and counters follow the per-point policy exactly.
+        ``where`` qualifies the point in error messages.
+        """
+        keys, __, __ = self.formulation.merged_sparse_structure()
+        n = self.formulation.dimension
+        num_keys = len(keys)
+        factors = s * frequency_scale if frequency_scale != 1.0 else s
+        start = 0
+        while start < len(s):
+            if self._sparse_pattern is not None:
+                plan = self._refactor_plan()
+                block = factors[start:start + chunk_points(plan.slots)]
+                # Points-major broadcast: the per-point ``base + s·dynamic``
+                # rounding (numpy's complex multiply depends on the layout).
+                values = base[None, :] + block[:, None] * dynamic[None, :]
+                stack = np.zeros((2, plan.slots, len(block)))
+                stack[0, :num_keys] = values.real.T
+                stack[1, :num_keys] = values.imag.T
+                factorization = plan.refactor(stack)
+                stable = len(block)
+                if factorization.unstable.any():
+                    stable = int(np.argmax(factorization.unstable))
+                    factorization = BatchedSparseLU(
+                        plan, stack[:, :, :stable].copy(),
+                        factorization.unstable[:stable])
+                if stable:
+                    self.refactorization_count += stable
+                    yield start, factorization
+                    start += stable
+                if stable == len(block):
+                    continue
+            matrix = SparseMatrix.from_entries(
+                n, n, zip(keys, (base + factors[start] * dynamic).tolist()))
+            try:
+                factorization, self._sparse_pattern, refactored = (
+                    sparse_lu_reusing(matrix, self._sparse_pattern,
+                                      column_order=self.column_order()))
+            except SingularMatrixError as error:
+                raise SingularMatrixError(
+                    f"{self.singular_label} is singular{where} at sweep "
+                    f"point {start} (s={complex(s[start])!r}): {error}",
+                    pivot_index=error.pivot_index, dimension=n,
+                    sweep_point=start) from error
             if refactored:
                 self.refactorization_count += 1
             else:
                 self.factorization_count += 1
-            yield k, factorization
+            yield start, BatchedSparseLU.from_factorization(
+                self._refactor_plan(), factorization)
+            start += 1
+
+    def _chunks(self, s, conductance_scale, frequency_scale):
+        """The dense or sparse chunk stream, whichever this engine runs."""
+        chunks = self.dense_chunks if self.is_dense else self.sparse_chunks
+        return chunks(s, conductance_scale, frequency_scale)
 
     # ------------------------------------------------------------------ #
     # whole-sweep conveniences
@@ -234,15 +318,10 @@ class SweepEngine:
             self.last_report = None
             if len(s) == 0:
                 return solutions
-            if self.is_dense:
-                for start, factorization in self.dense_chunks(
-                        s, conductance_scale, frequency_scale):
-                    solutions[start:start + factorization.batch] = (
-                        factorization.solve(rhs))
-            else:
-                for k, factorization in self.sparse_factors(
-                        s, conductance_scale, frequency_scale):
-                    solutions[k] = factorization.solve(rhs)
+            for start, factorization in self._chunks(s, conductance_scale,
+                                                     frequency_scale):
+                solutions[start:start + factorization.batch] = (
+                    factorization.solve(rhs))
             return solutions
 
         policy = policy or SolvePolicy()
@@ -338,8 +417,8 @@ class SweepEngine:
         sweep never materializes the full ``M × K`` stack.  Dense systems
         group as many whole samples per chunk as the budget allows and split
         the *frequency* axis once a single sample's sweep exceeds it; sparse
-        systems stream per sample / per point through the engine's ordered
-        pivot pattern.
+        systems refactor each sample's sweep in chunks over frequency along
+        the engine's ordered pivot pattern.
         """
         s = np.asarray(s, dtype=complex)
         scales = np.asarray(admittance_scales)
@@ -398,27 +477,15 @@ class SweepEngine:
             return
 
         # Sparse path: affine update of the merged-structure values, pivot
-        # pattern shared across the whole ensemble.
-        keys, __, __ = self.formulation.merged_sparse_structure()
-        order = self.column_order()
+        # pattern shared across the whole ensemble, chunks over frequency.
         for sample, constant_sample, dynamic_sample in (
                 self._sparse_param_samples(names, scales, conductance_scale)):
             solutions = np.empty((len(s), n), dtype=complex)
-            for k, point in enumerate(s):
-                factor = complex(point)
-                if frequency_scale != 1.0:
-                    factor = factor * frequency_scale
-                values = constant_sample + factor * dynamic_sample
-                matrix = SparseMatrix.from_entries(
-                    n, n, zip(keys, values.tolist()))
-                factorization, self._sparse_pattern, refactored = (
-                    sparse_lu_reusing(matrix, self._sparse_pattern,
-                                      column_order=order))
-                if refactored:
-                    self.refactorization_count += 1
-                else:
-                    self.factorization_count += 1
-                solutions[k] = factorization.solve(rhs)
+            for start, factorization in self._sparse_chunks(
+                    s, constant_sample, dynamic_sample, frequency_scale,
+                    where=f" for sample {sample}"):
+                solutions[start:start + factorization.batch] = (
+                    factorization.solve(rhs))
             yield sample, solutions
 
     def _sparse_param_samples(self, names, scales, conductance_scale):
@@ -577,13 +644,7 @@ class SweepEngine:
                      frequency_scale=1.0) -> "SweepFactors":
         """Factor at every point and *keep* the factors (see :class:`SweepFactors`)."""
         s = np.asarray(list(s), dtype=complex)
-        if self.is_dense:
-            factors = list(self.dense_chunks(s, conductance_scale,
-                                             frequency_scale))
-        else:
-            factors = [factorization for __, factorization
-                       in self.sparse_factors(s, conductance_scale,
-                                              frequency_scale)]
+        factors = list(self._chunks(s, conductance_scale, frequency_scale))
         return SweepFactors(self.formulation, s, self.is_dense, factors)
 
 
@@ -591,11 +652,11 @@ class SweepFactors:
     """Cached LU factors of ``A(s_k)`` across one whole frequency sweep.
 
     Where :meth:`SweepEngine.solve_sweep` factors, solves once and discards,
-    this object *keeps* the factors — the dense path as chunked
-    :class:`~repro.linalg.dense.BatchedDenseLU` stacks (same chunking as the
-    streaming path, so solutions are bit-identical to it), the sparse path as
-    one :class:`~repro.linalg.lu.LUFactorization` per point sharing the first
-    point's pivot order.  Repeated solves against the same sweep — the
+    this object *keeps* the factors as the streaming path's chunks —
+    :class:`~repro.linalg.dense.BatchedDenseLU` stacks on the dense path,
+    :class:`~repro.linalg.lu.BatchedSparseLU` stacks on the sparse path —
+    with the same chunking and kernels, so solutions are bit-identical to
+    it.  Repeated solves against the same sweep — the
     baseline plus one solve per screened element in the rank-1 sensitivity
     engine — then cost O(n²) per right-hand side instead of an O(n³)
     refactorization.
@@ -608,8 +669,8 @@ class SweepFactors:
         self.formulation = formulation
         self.s_values = s_values
         self.is_dense = is_dense
-        #: Dense path: list of ``(start_index, BatchedDenseLU)`` chunks;
-        #: sparse path: one LUFactorization per sweep point.
+        #: ``(start_index, chunk)`` pairs: ``BatchedDenseLU`` chunks on the
+        #: dense path, ``BatchedSparseLU`` chunks on the sparse path.
         self.factors = factors
 
     @property
@@ -627,13 +688,9 @@ class SweepFactors:
         rhs = np.asarray(rhs, dtype=complex)
         solutions = np.zeros((len(self.s_values), self.dimension),
                              dtype=complex)
-        if self.is_dense:
-            for start, factorization in self.factors:
-                solutions[start:start + factorization.batch] = (
-                    factorization.solve(rhs))
-        else:
-            for k, factorization in enumerate(self.factors):
-                solutions[k] = factorization.solve(rhs)
+        for start, factorization in self.factors:
+            solutions[start:start + factorization.batch] = (
+                factorization.solve(rhs))
         return solutions
 
     def solve_columns(self, columns) -> np.ndarray:
@@ -651,14 +708,15 @@ class SweepFactors:
         solutions = np.zeros(
             (len(self.s_values), self.dimension, columns.shape[1]),
             dtype=complex)
-        if self.is_dense:
-            for start, factorization in self.factors:
-                solutions[start:start + factorization.batch] = (
-                    factorization.solve_matrix(columns))
-        else:
-            for k, factorization in enumerate(self.factors):
-                solutions[k] = factorization.solve_many(columns)
+        for start, factorization in self.factors:
+            solutions[start:start + factorization.batch] = (
+                factorization.solve_matrix(columns))
         return solutions
+
+    @property
+    def nbytes(self):
+        """Bytes held by the kept chunk stacks."""
+        return sum(factorization.nbytes for __, factorization in self.factors)
 
     def members(self):
         """Yield one scalar factorization per sweep point, in order.
@@ -668,14 +726,12 @@ class SweepFactors:
         determinant / substitution arithmetic is bit-for-bit the per-point
         :func:`~repro.linalg.dense.dense_lu` path — this is what keeps the
         interpolation samples identical between batched and per-point
-        evaluation.
+        evaluation.  Sparse chunks give
+        :meth:`~repro.linalg.lu.BatchedSparseLU.member` views.
         """
-        if self.is_dense:
-            for __, factorization in self.factors:
-                for index in range(factorization.batch):
-                    yield factorization.member(index)
-        else:
-            yield from self.factors
+        for __, factorization in self.factors:
+            for index in range(factorization.batch):
+                yield factorization.member(index)
 
     def __repr__(self):
         kind = "dense" if self.is_dense else "sparse"

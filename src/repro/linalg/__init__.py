@@ -14,6 +14,9 @@ substrate from scratch:
 * :func:`~repro.linalg.lu.sparse_lu_refactor` — numeric refactorization that
   reuses the pivot order of a previous factorization, the factor-once /
   refactor-many primitive of the batched frequency-sweep engine,
+* :class:`~repro.linalg.lu.SparseRefactorPlan` /
+  :class:`~repro.linalg.lu.BatchedSparseLU` — the same refactorization
+  replayed over a whole chunk of sweep points in one numpy pass,
 * :func:`~repro.linalg.dense.dense_lu` — a dense LU with partial pivoting used
   for cross-checking and for small systems,
 * :func:`~repro.linalg.dense.batched_dense_lu` — the same dense algorithm
@@ -27,7 +30,8 @@ substrate from scratch:
 
 from .config import DEFAULT_DENSE_CUTOFF, dense_cutoff, sparse_ordering
 from .sparse import SparseMatrix
-from .lu import sparse_lu, sparse_lu_refactor, LUFactorization
+from .lu import (sparse_lu, sparse_lu_refactor, LUFactorization,
+                 SparseRefactorPlan, BatchedSparseLU)
 from .ordering import (amd_order, rcm_order, fill_reducing_order,
                        inverse_permutation, permute_symmetric)
 from .dense import dense_lu, DenseLU, batched_dense_lu, BatchedDenseLU
@@ -42,6 +46,8 @@ __all__ = [
     "sparse_lu",
     "sparse_lu_refactor",
     "LUFactorization",
+    "SparseRefactorPlan",
+    "BatchedSparseLU",
     "amd_order",
     "rcm_order",
     "fill_reducing_order",

@@ -24,7 +24,7 @@ from ..errors import LinAlgError, SingularMatrixError
 from ..xfloat import XFloat
 
 __all__ = ["dense_lu", "DenseLU", "batched_dense_lu", "BatchedDenseLU",
-           "batched_solve", "sweep_chunk_size"]
+           "batched_solve", "chunk_points", "sweep_chunk_size"]
 
 #: Complex entries per assembled dense sweep chunk (~64 MB): sweeps longer
 #: than this per-matrix budget are factored chunk by chunk so memory stays
@@ -32,10 +32,16 @@ __all__ = ["dense_lu", "DenseLU", "batched_dense_lu", "BatchedDenseLU",
 _SWEEP_CHUNK_ELEMENTS = 4_000_000
 
 
+def chunk_points(entries_per_point) -> int:
+    """Sweep points per chunk when each point stores ``entries_per_point``
+    complex values (at least one point)."""
+    return max(1, _SWEEP_CHUNK_ELEMENTS // max(1, int(entries_per_point)))
+
+
 def sweep_chunk_size(dimension) -> int:
     """Number of ``dimension``-sized matrices per batched sweep chunk."""
     dimension = max(1, int(dimension))
-    return max(1, _SWEEP_CHUNK_ELEMENTS // (dimension * dimension))
+    return chunk_points(dimension * dimension)
 
 #: Powers of ten built with Python's scalar pow, which numpy's vectorized
 #: ``10.0**x`` does not always match to the last ulp.  The batched determinant
@@ -188,6 +194,11 @@ class BatchedDenseLU:
         self.singular = singular
         self.batch = lu.shape[0]
         self.n = lu.shape[1]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the packed factors."""
+        return self.lu.nbytes
 
     def member(self, index) -> "DenseLU":
         """The ``index``-th matrix's factors as a scalar :class:`DenseLU` view.

@@ -12,18 +12,23 @@ shared sweep engine (:class:`~repro.engine.sweep.SweepEngine`):
   cached sparsity structure above it),
 * dense systems are factored with :func:`~repro.linalg.dense.batched_dense_lu`
   — one elimination loop vectorized over the whole stack of sweep points,
-* sparse systems run the Markowitz pivot search once and replay the pivot
-  order at every other point via numeric refactorization, falling back to a
-  fresh factorization only when a reused pivot becomes numerically
-  unacceptable,
+* sparse systems run the ordered pivot search once and replay the pivot
+  order over whole chunks of points
+  (:class:`~repro.linalg.lu.BatchedSparseLU`, within the same memory budget
+  as the dense chunks), with vectorized determinants and solves; the scalar
+  refactorization serves only the first point and points whose reused pivot
+  becomes numerically unacceptable (then re-pivoted freshly),
 * right-hand sides and output voltages are evaluated as numpy batches.
 
 What stays here is the *sampling* semantics of Eqs. (7)–(10): determinant
 mantissa/exponent extraction, forced-output short-circuits and the
-``N(s_k) = H(s_k)·D(s_k)`` bookkeeping.  The result is bit-compatible (dense
-path) or rounding-compatible (sparse path) with the per-point sampler, which
-the equivalence tests in ``tests/test_batch_sweep.py`` and
-``benchmarks/bench_batch_sweep.py`` assert.
+``N(s_k) = H(s_k)·D(s_k)`` bookkeeping.  The dense path is bit-compatible
+with the per-point sampler.  The sparse path matches the per-point
+refactorization bit for bit when no matrix entry is exactly zero and to
+rounding otherwise; the per-point *sampler* re-pivots freshly at every
+point, so against it the sparse path agrees to rounding.  The equivalence
+tests in ``tests/test_batch_sweep.py`` and ``benchmarks/bench_batch_sweep.py``
+assert both.
 """
 
 from __future__ import annotations
@@ -174,7 +179,7 @@ class BatchSampler:
             np.zeros(self.formulation.dimension, dtype=complex))
 
     # ------------------------------------------------------------------ #
-    # sparse path: factor once, refactor everywhere else
+    # sparse path: factor once, replay the pivot order over whole chunks
     # ------------------------------------------------------------------ #
 
     def _sample_batch_sparse(self, s, conductance_scale, frequency_scale):
@@ -185,37 +190,41 @@ class BatchSampler:
             rhs_stack = formulation.rhs_batch(s, conductance_scale,
                                               frequency_scale)
         samples = []
-        for k, factorization in self._engine.sparse_factors(
+        for start, factorization in self._engine.sparse_chunks(
                 s, conductance_scale, frequency_scale):
-            det = factorization.determinant_mantissa_exponent()
+            stop = start + factorization.batch
+            mantissas, exponents = (
+                factorization.determinants_mantissa_exponent())
+            solutions = None
             if forced is None:
-                samples.append(self._make_sample(s[k], det,
-                                                 solve=factorization.solve,
-                                                 rhs=rhs_stack[k]))
-            else:
-                samples.append(self._make_sample(s[k], det, transfer=forced))
+                solutions = factorization.solve(rhs_stack[start:stop])
+            for k in range(factorization.batch):
+                det = (complex(mantissas[k]), int(exponents[k]))
+                transfer = forced
+                if transfer is None and det[0] != 0:
+                    transfer = formulation.output_voltage(solutions[k])
+                samples.append(self._make_sample(s[start + k], det,
+                                                 transfer=transfer))
         return samples
 
     # ------------------------------------------------------------------ #
 
-    def _make_sample(self, point, det, transfer=None, solve=None, rhs=None,
+    def _make_sample(self, point, det, transfer=None, solve=None,
                      conductance_scale=1.0, frequency_scale=1.0):
         """One :class:`SampleValue` from a determinant plus transfer source.
 
-        Either ``transfer`` is the (forced) output voltage directly, or
-        ``solve`` is a per-point solver applied to ``rhs`` (assembled on
-        demand from the scales when not supplied) — the right-hand side is
-        only built once the determinant is known to be non-zero, matching
-        the per-point sampler's short-circuit.
+        Either ``transfer`` is the output voltage directly, or ``solve`` is
+        a per-point solver applied to the right-hand side assembled from the
+        scales — only once the determinant is known to be non-zero,
+        matching the per-point sampler's short-circuit.
         """
         det_mantissa, det_exponent = det
         if det_mantissa == 0:
             return SampleValue(s=complex(point), numerator=(0.0 + 0.0j, 0),
                                denominator=(0.0 + 0.0j, 0))
         if transfer is None:
-            if rhs is None:
-                rhs = self.formulation.rhs(point, conductance_scale,
-                                           frequency_scale)
+            rhs = self.formulation.rhs(point, conductance_scale,
+                                       frequency_scale)
             transfer = self.formulation.output_voltage(solve(rhs))
         return SampleValue(
             s=complex(point),

@@ -159,15 +159,15 @@ class NetworkFunctionSampler:
         """Evaluate at every point of ``points`` (a sequence of complex values).
 
         Results preserve the input order.  With ``batch=True`` (the default)
-        the sweep runs through the batched engine
-        (:class:`~repro.nodal.batch.BatchSampler`): the matrix parts are
-        assembled once and the factorization structure is shared across all
-        points.  ``batch=False`` evaluates one point at a time via
-        :meth:`sample` — same results, used as the baseline in benchmarks and
-        equivalence tests.
+        any non-empty list, a single point included, runs through the
+        batched engine (:class:`~repro.nodal.batch.BatchSampler`): the
+        matrix parts are assembled once and the factorization structure is
+        shared across all points and calls.  ``batch=False`` evaluates one
+        point at a time via :meth:`sample` — the per-point oracle of
+        benchmarks and equivalence tests.
         """
         points = list(points)
-        if batch and len(points) > 1:
+        if batch and points:
             batch_sampler = self.batch_sampler()
             samples = batch_sampler.sample_batch(points, conductance_scale,
                                                  frequency_scale)

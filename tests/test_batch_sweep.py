@@ -5,17 +5,23 @@ import math
 import numpy as np
 import pytest
 
+import repro.linalg.dense as dense_module
+import repro.linalg.lu as lu_module
 from repro.analysis.ac import ACAnalysis
 from repro.analysis.bode import bode_sweep
+from repro.circuits.generators import build_generator
 from repro.circuits.rc_ladder import build_rc_ladder
+from repro.engine.sweep import SweepEngine
 from repro.errors import SingularMatrixError
 from repro.interpolation.polynomial import Polynomial
 from repro.interpolation.rational import RationalFunction
 from repro.linalg.dense import batched_dense_lu, dense_lu
-from repro.linalg.lu import sparse_lu, sparse_lu_refactor
+from repro.linalg.lu import (BatchedSparseLU, SparseRefactorPlan, sparse_lu,
+                             sparse_lu_refactor, sparse_lu_reusing)
 from repro.linalg.sparse import SparseMatrix
 from repro.mna.builder import build_mna_system
 from repro.mna.solve import ac_solve, ac_sweep
+from repro.netlist.circuit import Circuit
 from repro.netlist.transform import to_admittance_form
 from repro.nodal.batch import BatchSampler
 from repro.nodal.sampler import NetworkFunctionSampler
@@ -108,6 +114,146 @@ class TestSparseRefactor:
             sparse_lu_refactor(degenerate, pattern)
 
 
+def _mesh_system(seed=3):
+    """MNA system of a post-layout RC mesh above the dense cutoff."""
+    circuit, __ = build_generator("mesh", 160, seed=seed)
+    return build_mna_system(circuit)
+
+
+def _pointwise_sparse(system, s, order):
+    """The per-point oracle: scalar ``sparse_lu_reusing`` at every point,
+    the policy the chunked engine must reproduce.  Returns the
+    factorizations (up to a singular point), the fresh / refactored counts
+    and the singular point's index (``None`` if none)."""
+    keys, constant_values, dynamic_values = system.merged_sparse_structure()
+    n = system.dimension
+    pattern = None
+    factorizations, fresh, refactored = [], 0, 0
+    for k, point in enumerate(s):
+        values = constant_values + complex(point) * dynamic_values
+        matrix = SparseMatrix.from_entries(n, n, zip(keys, values.tolist()))
+        try:
+            factorization, pattern, reused = sparse_lu_reusing(
+                matrix, pattern, column_order=order)
+        except SingularMatrixError:
+            return factorizations, fresh, refactored, k
+        factorizations.append(factorization)
+        refactored += reused
+        fresh += not reused
+    return factorizations, fresh, refactored, None
+
+
+def _members(chunks):
+    """``(k, chunk, index)`` for every point covered by the chunks."""
+    for start, chunk in chunks:
+        for index in range(chunk.batch):
+            yield start + index, chunk, index
+
+
+class TestBatchedSparseLU:
+    @pytest.mark.parametrize("ordering", ["amd", "rcm", "markowitz"])
+    def test_matches_pointwise_refactor(self, ordering):
+        system = _mesh_system()
+        s = 2j * math.pi * np.logspace(0, 8, 12)
+        engine = SweepEngine(system, method="sparse", ordering=ordering)
+        chunks = list(engine.sparse_chunks(s))
+        expected, fresh, refactored, __ = _pointwise_sparse(
+            system, s, engine.column_order())
+        assert (engine.factorization_count,
+                engine.refactorization_count) == (fresh, refactored)
+        rhs = system.rhs
+        for k, chunk, index in _members(chunks):
+            assert isinstance(chunk, BatchedSparseLU)
+            mantissas, exponents = chunk.determinants_mantissa_exponent()
+            mantissa, exponent = expected[k].determinant_mantissa_exponent()
+            assert exponents[index] == exponent
+            assert abs(mantissas[index] - mantissa) <= 1e-12 * abs(mantissa)
+            solution = expected[k].solve(rhs)
+            for got in (chunk.solve(rhs)[index],
+                        chunk.solve_matrix(rhs[:, None])[index, :, 0],
+                        chunk.member(index).solve(rhs)):
+                assert np.max(np.abs(got - solution)) <= (
+                    1e-12 * np.max(np.abs(solution)))
+
+    def test_degraded_pivot_mid_chunk(self, monkeypatch):
+        system = _mesh_system()
+        keys, constant_values, dynamic_values = (
+            system.merged_sparse_structure())
+        engine = SweepEngine(system, method="sparse")
+        order = engine.column_order()
+        s = 2j * math.pi * np.logspace(2, 8, 12)
+        first = _pointwise_sparse(system, s[:1], order)[0][0]
+        # Cancel a reused pivot at point 5 (s·C = -G on its entry): the
+        # first pivot with a capacitive part that no earlier step updates.
+        plan = SparseRefactorPlan(system.dimension, keys, first.pivot_rows,
+                                  first.pivot_cols)
+        updated = set()
+        for step in plan.steps:
+            if (step.pivot < len(keys) and dynamic_values[step.pivot] != 0
+                    and step.pivot not in updated):
+                break
+            updated.update(step.update)
+        s[5] = -constant_values[step.pivot] / dynamic_values[step.pivot]
+        expected, fresh, refactored, __ = _pointwise_sparse(system, s, order)
+        assert (fresh, refactored) == (2, len(s) - 2)
+
+        calls = []
+        original = lu_module.sparse_lu
+
+        def counting_sparse_lu(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lu_module, "sparse_lu", counting_sparse_lu)
+        chunks = list(engine.sparse_chunks(s))
+        assert len(calls) == 2
+        assert [(start, chunk.batch) for start, chunk in chunks] == [
+            (0, 1), (1, 4), (5, 1), (6, 6)]
+        # Point 5 re-pivoted; the rest of the sweep replays its pattern.
+        assert chunks[2][1].plan is chunks[3][1].plan
+        assert chunks[2][1].plan.pivot_rows == expected[5].pivot_rows
+        assert chunks[2][1].plan.pivot_rows != first.pivot_rows
+        assert (engine.factorization_count,
+                engine.refactorization_count) == (fresh, refactored)
+        for k, chunk, index in _members(chunks):
+            solution = expected[k].solve(system.rhs)
+            assert np.max(np.abs(chunk.solve(system.rhs)[index] - solution)) \
+                <= 1e-12 * np.max(np.abs(solution))
+
+    def test_singular_point_named(self):
+        circuit = Circuit("floating")
+        circuit.add_voltage_source("Vin", "in", "0", 1.0)
+        circuit.add_resistor("R1", "in", "a", 1e3)
+        circuit.add_capacitor("C1", "b", "0", 1e-12)   # b floats at DC
+        system = build_mna_system(circuit)
+        s = 2j * math.pi * np.array([1e3, 2e3, 0.0, 3e3])
+        engine = SweepEngine(system, method="sparse")
+        __, ___, ____, singular = _pointwise_sparse(system, s,
+                                                   engine.column_order())
+        assert singular == 2
+        with pytest.raises(SingularMatrixError,
+                           match="singular at sweep point 2") as info:
+            engine.solve_sweep(s, system.rhs)
+        assert info.value.sweep_point == singular
+
+    def test_chunks_respect_budget(self, monkeypatch):
+        system = _mesh_system()
+        s = 2j * math.pi * np.logspace(0, 8, 15)
+        whole = list(SweepEngine(system, method="sparse").sparse_chunks(s))
+        assert [chunk.batch for __, chunk in whole] == [1, 14]
+        slots = whole[1][1].plan.slots
+        budget = 4 * slots + 1
+        monkeypatch.setattr(dense_module, "_SWEEP_CHUNK_ELEMENTS", budget)
+        split = list(SweepEngine(system, method="sparse").sparse_chunks(s))
+        assert [start for start, __ in split] == [0, 1, 5, 9, 13]
+        assert all(chunk.batch * chunk.plan.slots <= budget
+                   for __, chunk in split)
+        for (k, chunk, index), (__, reference, position) in zip(
+                _members(split), _members(whole)):
+            assert np.array_equal(chunk.solve(system.rhs)[index],
+                                  reference.solve(system.rhs)[position])
+
+
 class TestSampleManyEquivalence:
     @pytest.mark.parametrize("scales", [(1.0, 1.0), (2.5, 1e9), (0.3, 3.7e6)])
     def test_property_random_grids_match_pointwise(self, scales, rc_ladder_3,
@@ -160,19 +306,20 @@ class TestSampleManyEquivalence:
         assert coefficient.log10() < -308
 
     def test_sparse_method_matches_pointwise(self, miller_circuit):
-        circuit, spec = miller_circuit
-        sampler = NetworkFunctionSampler(to_admittance_form(circuit), spec,
-                                         method="sparse")
-        points = _random_grid(np.random.default_rng(8), count=15)
-        pointwise = sampler.sample_many(points, batch=False)
-        batched = sampler.sample_many(points, batch=True)
-        reference = np.array([sample.transfer() for sample in pointwise])
-        values = np.array([sample.transfer() for sample in batched])
-        assert np.max(np.abs(values - reference)
-                      / np.abs(reference)) <= 1e-9
-        batch_sampler = sampler.batch_sampler()
-        assert batch_sampler.factorization_count == 1
-        assert batch_sampler.refactorization_count == len(points) - 1
+        mesh = build_generator("mesh", 160, seed=8)
+        for circuit, spec in (miller_circuit, mesh):
+            sampler = NetworkFunctionSampler(to_admittance_form(circuit),
+                                             spec, method="sparse")
+            points = _random_grid(np.random.default_rng(8), count=15)
+            pointwise = sampler.sample_many(points, batch=False)
+            batched = sampler.sample_many(points, batch=True)
+            reference = np.array([sample.transfer() for sample in pointwise])
+            values = np.array([sample.transfer() for sample in batched])
+            assert np.max(np.abs(values - reference)
+                          / np.abs(reference)) <= 1e-9
+            batch_sampler = sampler.batch_sampler()
+            assert batch_sampler.factorization_count == 1
+            assert batch_sampler.refactorization_count == len(points) - 1
 
     def test_batch_sampler_direct_api(self, rc_ladder_3):
         circuit, spec = rc_ladder_3[:2]

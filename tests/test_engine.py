@@ -351,6 +351,26 @@ class TestAnalysisSession:
         session.factored_sweep(circuit, s * float(_MAX_SWEEP_ENTRIES + 4))
         assert session.misses == misses
 
+    def test_sweep_byte_bound_evicts_sparse_sweep(self, monkeypatch):
+        import repro.engine.session as session_module
+        from repro.circuits.generators import build_generator
+
+        circuit, __ = build_generator("mesh", 160, seed=2)
+        session = AnalysisSession()
+        s = 2j * math.pi * np.logspace(0, 8, 40)
+        first = session.factored_sweep(circuit, s)
+        assert not first.is_dense
+        assert first.nbytes == sum(chunk.stack.nbytes
+                                   for __, chunk in first.factors)
+        # Room for one kept sparse sweep, not two.
+        monkeypatch.setattr(session_module, "_MAX_SWEEP_BYTES",
+                            first.nbytes * 3 // 2)
+        second = session.factored_sweep(circuit, 2.0 * s)
+        assert list(session._sweeps.values()) == [second]
+        misses = session.misses
+        session.factored_sweep(circuit, s)
+        assert session.misses == misses + 1
+
     def test_invalidate_everything(self, simple_rc):
         circuit, spec = simple_rc
         session = AnalysisSession()

@@ -208,13 +208,14 @@ class TestElementStamps:
 
 
 class TestSweepFactorization:
-    def test_solve_matches_ac_sweep(self, ua741):
+    @pytest.mark.parametrize("method", ["auto", "sparse"])
+    def test_solve_matches_ac_sweep(self, ua741, method):
         circuit, __ = ua741
         system = build_mna_system(circuit)
         s = 2j * np.pi * np.logspace(0, 8, 17)
-        sweep = ac_factor_sweep(system, s)
+        sweep = ac_factor_sweep(system, s, method=method)
         np.testing.assert_array_equal(sweep.solve(system.rhs),
-                                      ac_sweep(system, s))
+                                      ac_sweep(system, s, method=method))
 
     def test_sparse_path_matches_dense(self, miller):
         circuit, __ = miller
