@@ -15,9 +15,10 @@ owns the whole strategy:
   default) is computed from it, and the ordered pivot search runs at the
   first point (:func:`~repro.linalg.lu.sparse_lu_reusing`).  Its pivot
   order becomes a :class:`~repro.linalg.lu.SparseRefactorPlan` (one slot per
-  L/U entry, fill included, built once per pattern), and the other points
-  are refactored along it in chunks: one broadcast assembles a chunk's
-  values, one :class:`~repro.linalg.lu.BatchedSparseLU` pass factors them.
+  L/U entry, fill included, built once per pivot order), and the other
+  points are refactored along it in chunks: one broadcast assembles a
+  chunk's values, one :class:`~repro.linalg.lu.BatchedSparseLU` pass factors
+  them.
   A chunk holds as many points as keep ``points × slots`` within the
   :func:`~repro.linalg.dense.chunk_points` budget (the dense path's
   ``_SWEEP_CHUNK_ELEMENTS``).  A point whose reused pivot is zero or below
@@ -34,8 +35,10 @@ shape of ``ac_sweep``); :class:`SweepFactors` keeps them (the shape of
 ``ac_factor_sweep`` and the rank-1 screening, where every subsequent solve
 costs O(n²) instead of an O(n³) refactorization).  The MNA sweeps
 (:mod:`repro.mna.solve`), the interpolation batch sampler
-(:mod:`repro.nodal.batch`) and the sensitivity engine
-(:mod:`repro.analysis.sensitivity`) are all thin adapters over this module.
+(:mod:`repro.nodal.batch`), the sensitivity engine
+(:mod:`repro.analysis.sensitivity`) and the sparse Monte Carlo ensemble
+(:mod:`repro.montecarlo.engine`, one :meth:`SweepEngine.solve_values` sweep
+per member) are all thin adapters over this module.
 """
 
 from __future__ import annotations
@@ -210,13 +213,21 @@ class SweepEngine:
                                        dynamic_values, frequency_scale)
 
     def _refactor_plan(self):
-        """The slot plan of the current pivot pattern, built once per pattern."""
-        if self._plan_pattern is not self._sparse_pattern:
-            keys, __, __ = self.formulation.merged_sparse_structure()
-            pattern = self._sparse_pattern
-            self._sparse_plan = SparseRefactorPlan(
-                self.formulation.dimension, keys, pattern.pivot_rows,
-                pattern.pivot_cols)
+        """The slot plan of the current pivot pattern.
+
+        A plan depends only on the keys and the pivot order, so a new
+        pattern that pivots like the last one (the next Monte Carlo sample,
+        usually) keeps its plan.
+        """
+        pattern = self._sparse_pattern
+        if self._plan_pattern is not pattern:
+            plan = self._sparse_plan
+            if (plan is None or plan.pivot_rows != pattern.pivot_rows
+                    or plan.pivot_cols != pattern.pivot_cols):
+                keys, __, __ = self.formulation.merged_sparse_structure()
+                self._sparse_plan = SparseRefactorPlan(
+                    self.formulation.dimension, keys, pattern.pivot_rows,
+                    pattern.pivot_cols)
             self._plan_pattern = pattern
         return self._sparse_plan
 
@@ -353,31 +364,31 @@ class SweepEngine:
                         f"{failure.description}: {failure.reason}",
                         sweep_point=failure.index)
         else:
-            keys, constant_values, dynamic_values = (
+            __, constant_values, dynamic_values = (
                 self.formulation.merged_sparse_structure())
-            n = self.formulation.dimension
-            order = self.column_order()
             base = (constant_values if conductance_scale == 1.0
                     else conductance_scale * constant_values)
             for k, point in enumerate(s):
                 factor = complex(point)
                 if frequency_scale != 1.0:
                     factor = factor * frequency_scale
-                values = base + factor * dynamic_values
-                matrix = SparseMatrix.from_entries(n, n,
-                                                   zip(keys, values.tolist()))
                 solutions[k] = self._resilient_sparse_point(
-                    matrix, rhs, policy, report, k,
-                    f"sweep point {k} (s={factor!r})", order, on_failure)
+                    base + factor * dynamic_values, rhs, policy, report, k,
+                    f"sweep point {k} (s={factor!r})", on_failure)
         return solutions
 
-    def _resilient_sparse_point(self, matrix, rhs, policy, report, index,
-                                description, order, on_failure):
-        """One resilient sparse solve, with engine counter / report upkeep."""
+    def _resilient_sparse_point(self, values, rhs, policy, report, index,
+                                description, on_failure):
+        """One resilient sparse solve of the merged-key ``values``, with
+        engine counter / report upkeep."""
+        keys, __, __ = self.formulation.merged_sparse_structure()
+        n = self.formulation.dimension
+        matrix = SparseMatrix.from_entries(n, n, zip(keys, values.tolist()))
         had_pattern = self._sparse_pattern is not None
         try:
             x, diagnostics, self._sparse_pattern = resilient_sparse_solve(
-                matrix, rhs, policy, self._sparse_pattern, order)
+                matrix, rhs, policy, self._sparse_pattern,
+                self.column_order())
         except SolveFailureError as error:
             self.factorization_count += 1
             escalations = (error.diagnostics.escalations
@@ -402,242 +413,40 @@ class SweepEngine:
             report.record_recovery(index, diagnostics)
         return x
 
-    # ------------------------------------------------------------------ #
-    # the parameter axis
-    # ------------------------------------------------------------------ #
+    def solve_values(self, s, base, dynamic, rhs, *, member, policy=None,
+                     report=None) -> np.ndarray:
+        """Solve ``(base + s_k·dynamic) x_k = rhs`` over the grid, from scratch.
 
-    def iter_param_sweep(self, s, names, admittance_scales, rhs,
-                         conductance_scale=1.0, frequency_scale=1.0):
-        """Yield ``(sample, (K, n) solutions)`` one ensemble member at a time.
+        ``base`` / ``dynamic`` are value vectors over the formulation's
+        merged sparse keys, used in place of its own values: one Monte
+        Carlo ensemble ``member``'s.  The sweep starts with no pivot
+        pattern, as an engine rebuilt for those values would, and refactors
+        along its own pivot order over the grid in :meth:`_sparse_chunks`.
+        Returns ``(K, n)`` solutions.
 
-        The streaming core of :meth:`solve_param_sweep`: at no point does
-        more than one assembly chunk (bounded by
-        :func:`~repro.linalg.dense.sweep_chunk_size`) plus one sample's
-        ``(K, n)`` solution block live in memory, so a 10⁴-node ensemble
-        sweep never materializes the full ``M × K`` stack.  Dense systems
-        group as many whole samples per chunk as the budget allows and split
-        the *frequency* axis once a single sample's sweep exceeds it; sparse
-        systems refactor each sample's sweep in chunks over frequency along
-        the engine's ordered pivot pattern.
+        With a ``policy`` every point instead goes through the escalation
+        chain of :meth:`solve_sweep`, recorded in ``report`` under index
+        ``member``; the first unrecoverable point ends the sweep and leaves
+        every row NaN.
         """
+        self._sparse_pattern = None
         s = np.asarray(s, dtype=complex)
-        scales = np.asarray(admittance_scales)
-        rhs = np.asarray(rhs, dtype=complex)
-        # Materialize once: the name tuple is consumed per chunk below (and
-        # twice on the sparse path), so a generator must not drain early.
-        names = tuple(names)
-        num_samples = scales.shape[0]
-        n = self.formulation.dimension
-        if num_samples == 0 or len(s) == 0:
-            return
-        if self.is_dense:
-            budget = sweep_chunk_size(n)
-            if len(s) > budget:
-                # One sample's sweep exceeds the chunk budget: keep samples
-                # whole and stream the frequency axis instead.
-                for sample in range(num_samples):
-                    block = scales[sample:sample + 1]
-                    solutions = np.empty((len(s), n), dtype=complex)
-                    for start in range(0, len(s), budget):
-                        points = s[start:start + budget]
-                        stack = self.formulation.assemble_param_batch(
-                            points, names, block, conductance_scale,
-                            frequency_scale)
-                        flat = stack.reshape(len(points), n, n)
-                        factorization = batched_dense_lu(flat, overwrite=True)
-                        self.factorization_count += flat.shape[0]
-                        if factorization.singular.any():
-                            index = int(np.argmax(factorization.singular))
-                            raise SingularMatrixError(
-                                f"{self.singular_label} is singular for "
-                                f"sample {sample} at sweep point "
-                                f"{start + index}")
-                        solutions[start:start + len(points)] = (
-                            factorization.solve(rhs))
-                    yield sample, solutions
-                return
-            chunk = max(1, budget // max(1, len(s)))
-            for start in range(0, num_samples, chunk):
-                block = scales[start:start + chunk]
-                stack = self.formulation.assemble_param_batch(
-                    s, names, block, conductance_scale, frequency_scale)
-                flat = stack.reshape(len(block) * len(s), n, n)
-                factorization = batched_dense_lu(flat, overwrite=True)
-                self.factorization_count += flat.shape[0]
-                if factorization.singular.any():
-                    index = int(np.argmax(factorization.singular))
-                    raise SingularMatrixError(
-                        f"{self.singular_label} is singular for sample "
-                        f"{start + index // len(s)} at sweep point "
-                        f"{index % len(s)}")
-                solved = factorization.solve(rhs).reshape(len(block), len(s),
-                                                          n)
-                for offset in range(len(block)):
-                    yield start + offset, solved[offset]
-            return
-
-        # Sparse path: affine update of the merged-structure values, pivot
-        # pattern shared across the whole ensemble, chunks over frequency.
-        for sample, constant_sample, dynamic_sample in (
-                self._sparse_param_samples(names, scales, conductance_scale)):
-            solutions = np.empty((len(s), n), dtype=complex)
+        solutions = np.empty((len(s), self.formulation.dimension),
+                             dtype=complex)
+        if policy is None:
             for start, factorization in self._sparse_chunks(
-                    s, constant_sample, dynamic_sample, frequency_scale,
-                    where=f" for sample {sample}"):
+                    s, base, dynamic, 1.0, where=f" for sample {member}"):
                 solutions[start:start + factorization.batch] = (
                     factorization.solve(rhs))
-            yield sample, solutions
-
-    def _sparse_param_samples(self, names, scales, conductance_scale):
-        """Yield ``(sample, constant_values, dynamic_values)`` per member.
-
-        The vectorized affine update shared by the legacy and resilient
-        sparse parameter sweeps: sample ``m`` perturbs the merged-structure
-        value vectors by ``(scale − 1)·(element stamp)`` per scaled element,
-        reproducing :meth:`iter_param_sweep`'s historic arithmetic exactly.
-        """
-        keys, constant_values, dynamic_values = (
-            self.formulation.merged_sparse_structure())
-        position = {key: index for index, key in enumerate(keys)}
-        incidence_u, incidence_v, conductances, capacitances = (
-            self.formulation.stamp_columns(names))
-        entry_positions: list = []
-        entry_weights: list = []
-        entry_elements: list = []
-        for column in range(incidence_u.shape[1]):
-            rows = np.flatnonzero(incidence_u[:, column])
-            cols = np.flatnonzero(incidence_v[:, column])
-            for row in rows:
-                for col in cols:
-                    key = (int(row), int(col))
-                    if key not in position:
-                        raise FormulationError(
-                            f"stamp entry {key} of element "
-                            f"{names[column]!r} is outside the "
-                            "assembled structure")
-                    entry_positions.append(position[key])
-                    entry_weights.append(incidence_u[row, column]
-                                         * incidence_v[col, column])
-                    entry_elements.append(column)
-        entry_positions = np.array(entry_positions, dtype=np.intp)
-        entry_weights = np.array(entry_weights)
-        entry_elements = np.array(entry_elements, dtype=np.intp)
-        delta = scales - 1.0
-        for sample in range(scales.shape[0]):
-            constant_sample = constant_values.astype(complex).copy()
-            dynamic_sample = dynamic_values.astype(complex).copy()
-            np.add.at(constant_sample, entry_positions,
-                      delta[sample, entry_elements]
-                      * conductances[entry_elements] * entry_weights)
-            np.add.at(dynamic_sample, entry_positions,
-                      delta[sample, entry_elements]
-                      * capacitances[entry_elements] * entry_weights)
-            if conductance_scale != 1.0:
-                constant_sample = conductance_scale * constant_sample
-            yield sample, constant_sample, dynamic_sample
-
-    def solve_param_sweep(self, s, names, admittance_scales, rhs,
-                          conductance_scale=1.0, frequency_scale=1.0, *,
-                          on_failure="raise", policy=None) -> np.ndarray:
-        """Solve ``A_m(s_k) x = rhs`` over samples × frequencies.
-
-        The parameter-space companion of :meth:`solve_sweep`: sample ``m``
-        scales the admittances of ``names`` by ``admittance_scales[m]``
-        (see :meth:`~repro.engine.formulation.FormulationBase.assemble_param_batch`).
-        Dense systems assemble the ``(M·K, n, n)`` stack chunk by chunk
-        (chunking whichever of the sample / frequency axes keeps the stack
-        inside the memory budget) and factor through
-        :func:`~repro.linalg.dense.batched_dense_lu`; sparse systems update
-        the merged-structure values per sample and reuse the engine's ordered
-        pivot pattern across every sample and frequency.  Memory-bounded
-        consumers should iterate :meth:`iter_param_sweep` instead of
-        materializing the ``(M, K, n)`` result this convenience returns.
-
-        Returns ``(M, K, n)`` complex solutions.  Accurate to rounding
-        relative to rebuilding each perturbed system (the bit-exact ensemble
-        engine is :func:`repro.montecarlo.ensemble_sweep`).
-
-        ``on_failure`` / ``policy`` follow :meth:`solve_sweep`, at *sample*
-        granularity: a sample with an unrecoverable point is quarantined
-        whole (its ``(K, n)`` block masked to NaN) under ``"quarantine"``,
-        with the outcome recorded in :attr:`last_report`.
-        """
-        if on_failure not in _FAILURE_MODES:
-            raise FormulationError(f"unknown failure mode {on_failure!r}")
-        s = np.asarray(s, dtype=complex)
-        scales = np.asarray(admittance_scales)
-        n = self.formulation.dimension
-        solutions = np.zeros((scales.shape[0], len(s), n), dtype=complex)
-        if on_failure == "raise" and policy is None:
-            self.last_report = None
-            for sample, block in self.iter_param_sweep(
-                    s, names, scales, rhs, conductance_scale,
-                    frequency_scale):
-                solutions[sample] = block
             return solutions
-
-        policy = policy or SolvePolicy()
-        num_samples = scales.shape[0]
-        report = SweepReport(label=self.singular_label, kind="sample",
-                             total=num_samples)
-        self.last_report = report
-        if num_samples == 0 or len(s) == 0:
-            return solutions
-        if self.is_dense:
-            names = tuple(names)
-            budget = sweep_chunk_size(n)
-            for sample in range(num_samples):
-                block_scales = scales[sample:sample + 1]
-                before = len(report.failures)
-                for start in range(0, len(s), budget):
-                    points = s[start:start + budget]
-                    stack = self.formulation.assemble_param_batch(
-                        points, names, block_scales, conductance_scale,
-                        frequency_scale).reshape(len(points), n, n)
-                    self.factorization_count += len(points)
-
-                    def indexer(member, sample=sample, start=start):
-                        return sample, (f"sample {sample} at sweep point "
-                                        f"{start + member}")
-
-                    solutions[sample, start:start + len(points)] = (
-                        solve_stack_resilient(stack, rhs, policy, report,
-                                              indexer))
-                if len(report.failures) > before:
-                    solutions[sample] = np.nan
-                    if on_failure == "raise":
-                        failure = report.failures[before]
-                        raise SolveFailureError(
-                            f"{self.singular_label} is singular for "
-                            f"{failure.description}: {failure.reason}",
-                            sample=sample)
-        else:
-            keys, __, __ = self.formulation.merged_sparse_structure()
-            order = self.column_order()
-            for sample, constant_sample, dynamic_sample in (
-                    self._sparse_param_samples(names, scales,
-                                               conductance_scale)):
-                before = len(report.failures)
-                for k, point in enumerate(s):
-                    factor = complex(point)
-                    if frequency_scale != 1.0:
-                        factor = factor * frequency_scale
-                    values = constant_sample + factor * dynamic_sample
-                    matrix = SparseMatrix.from_entries(
-                        n, n, zip(keys, values.tolist()))
-                    try:
-                        solutions[sample, k] = self._resilient_sparse_point(
-                            matrix, rhs, policy, report, sample,
-                            f"sample {sample} at sweep point {k}", order,
-                            on_failure)
-                    except SolveFailureError as error:
-                        raise SolveFailureError(
-                            str(error), sample=sample, sweep_point=k,
-                            diagnostics=error.diagnostics) from error
-                    if len(report.failures) > before:
-                        break
-                if len(report.failures) > before:
-                    solutions[sample] = np.nan
+        before = len(report.failures)
+        for k, point in enumerate(s):
+            solutions[k] = self._resilient_sparse_point(
+                base + complex(point) * dynamic, rhs, policy, report, member,
+                f"ensemble member {member} at sweep point {k}", "quarantine")
+            if len(report.failures) > before:
+                solutions[:] = np.nan
+                break
         return solutions
 
     def factor_sweep(self, s, conductance_scale=1.0,

@@ -14,9 +14,12 @@ batched solves instead of M independent circuit rebuilds:
   :func:`~repro.linalg.dense.batched_dense_lu` (``solver="lu"``, the
   bit-parity arm whose outputs equal the rebuild-per-sample path *exactly* —
   both solvers are batch-size invariant, so chunking cannot change results),
-* above the dense cutoff the sweep falls back to the shared
-  :meth:`~repro.engine.sweep.SweepEngine.solve_param_sweep` sparse path
-  (pivot-pattern refactorization, accurate to rounding).
+* above the dense cutoff each member's value vectors go through
+  :meth:`~repro.engine.sweep.SweepEngine.solve_values`, the sparse sweep
+  kernel every other sparse sweep runs on (a fresh pivot pattern per member,
+  then batched refactorization along it over the frequency grid), so the
+  responses equal the rebuild-per-sample path's bit for bit whenever no
+  matrix entry is exactly zero.
 
 Every matrix ensemble driver — :func:`ensemble_sweep`,
 :func:`~repro.montecarlo.parallel.parallel_ensemble_sweep` and
@@ -27,7 +30,8 @@ preset of one shard pipeline:
   boundaries fixed by ``shard_size`` alone;
 * an **evaluator** (:class:`_Evaluator`), built once per call in the calling
   process: the MNA right-hand side, the output terms, the ``ValueProgram``,
-  the dense/sparse choice and the resolved options.  It turns one shard's
+  the dense/sparse choice (a :class:`~repro.engine.sweep.SweepEngine`'s)
+  and the resolved options.  It turns one shard's
   value rows into responses and folds them into per-shard accumulators;
 * one **executor**, :func:`~repro.montecarlo.parallel.run_shards`: inline
   when ``workers == 1``, supervised processes otherwise;
@@ -56,12 +60,10 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..engine.resilience import (SolvePolicy, SweepReport,
-                                 merge_shard_report,
-                                 resilient_sparse_solve,
-                                 solve_stack_resilient)
+                                 merge_shard_report, solve_stack_resilient)
+from ..engine.sweep import SweepEngine
 from ..errors import (FormulationError, SingularMatrixError,
                       SolveFailureError)
-from ..linalg.config import use_dense
 from ..linalg.dense import batched_dense_lu, batched_solve
 from ..mna.builder import build_mna_system
 from ..netlist.elements import GROUND
@@ -347,69 +349,54 @@ def _dense_ensemble(program, rhs, s, values, terms, solver, threads, policy,
             future.result()
 
 
-def _sparse_ensemble(program, rhs, s, values, terms, policy, report,
+@dataclasses.dataclass(frozen=True)
+class _StampedStructure:
+    """Every entry a :class:`~repro.montecarlo.program.ValueProgram` stamps,
+    as the formulation the sparse ensemble's engine factors over.
+
+    The nominal MNA system drops an entry whose stamps cancel exactly at the
+    design point (``gm = 1/R`` between the same two nodes, say), though the
+    samples move it off zero; the program keeps every stamped entry.  The
+    values come from each member
+    (:meth:`~repro.engine.sweep.SweepEngine.solve_values`), so the structure
+    holds none.
+    """
+
+    dimension: int
+    keys: list
+
+    def merged_sparse_structure(self):
+        return self.keys, None, None
+
+
+def _sparse_ensemble(engine, program, rhs, s, values, terms, policy, report,
                      out) -> None:
-    """Sparse-path ensemble: per-sample value vectors, per-sample patterns.
+    """Sparse-path ensemble: one :meth:`~repro.engine.sweep.SweepEngine.
+    solve_values` sweep per sample over that sample's value vectors.
 
     Writes the ``(M, F)`` responses into ``out``.  Mirrors the rebuild
     path's factorization policy exactly: every sample starts from a fresh
-    ordered factorization (a rebuilt
-    :class:`~repro.engine.sweep.SweepEngine` would too) and refactors along
-    its own pivot order across the frequency axis.  Pivot choices are
-    value-dependent through the threshold test, so sharing one pattern across
-    samples — the pre-ordering behavior — broke bit-parity with
-    :func:`rebuild_sweep`; per-sample patterns restore it while keeping the
-    factor-once / refactor-many economy within each sample's sweep.
+    ordered factorization (a rebuilt engine would too) and refactors along
+    its own pivot order across the frequency axis, in the engine's batched
+    chunks.  Pivot choices are value-dependent through the threshold test,
+    so sharing one pattern across samples would break bit-parity with
+    :func:`rebuild_sweep`.  A resilient run escalates point by point, and a
+    member with an unrecoverable point comes back NaN.
     """
-    from ..linalg.config import sparse_ordering
-    from ..linalg.lu import sparse_lu_reusing
-    from ..linalg.ordering import fill_reducing_order
-    from ..linalg.sparse import SparseMatrix
-
+    keys = engine.formulation.keys
+    position = {key: index for index, key in enumerate(keys)}
     constant_keys, constant_values, dynamic_keys, dynamic_values = (
         program.sparse_values(values))
-    merged = sorted(set(constant_keys) | set(dynamic_keys))
-    position = {key: index for index, key in enumerate(merged)}
     num_samples = values.shape[0]
-    base = np.zeros((num_samples, len(merged)), dtype=complex)
-    dynamic = np.zeros((num_samples, len(merged)), dtype=complex)
+    base = np.zeros((num_samples, len(keys)), dtype=complex)
+    dynamic = np.zeros((num_samples, len(keys)), dtype=complex)
     base[:, [position[key] for key in constant_keys]] = constant_values
     dynamic[:, [position[key] for key in dynamic_keys]] = dynamic_values
-
-    dimension = program.dimension
-    ordering = sparse_ordering()
-    order = (None if ordering == "markowitz"
-             else fill_reducing_order(dimension, merged, method=ordering))
     for sample in range(num_samples):
-        pattern = None
-        for k, point in enumerate(s):
-            entry_values = base[sample] + complex(point) * dynamic[sample]
-            matrix = SparseMatrix.from_entries(
-                dimension, dimension, zip(merged, entry_values.tolist()))
-            if policy is not None:
-                try:
-                    solution, diagnostics, pattern = resilient_sparse_solve(
-                        matrix, rhs, policy, pattern, order)
-                except SolveFailureError as error:
-                    escalations = (error.diagnostics.escalations
-                                   if error.diagnostics is not None else ())
-                    report.record_failure(
-                        sample,
-                        f"ensemble member {sample} at sweep point {k}",
-                        str(error), escalations)
-                    out[sample] = np.nan
-                    break
-                if diagnostics.stage == "fast":
-                    report.record_fast()
-                    if diagnostics.degraded:
-                        report.record_degraded(sample, diagnostics.condition)
-                else:
-                    report.record_recovery(sample, diagnostics)
-            else:
-                factorization, pattern, __ = sparse_lu_reusing(
-                    matrix, pattern, column_order=order)
-                solution = factorization.solve(rhs)
-            out[sample, k] = _project(terms, solution[None, :])[0]
+        solutions = engine.solve_values(s, base[sample], dynamic[sample], rhs,
+                                        member=sample, policy=policy,
+                                        report=report)
+        out[sample] = _project(terms, solutions)
 
 
 # --------------------------------------------------------------------------- #
@@ -507,6 +494,8 @@ def _resolve(circuit, frequencies, space=None, values=None, *, samples=128,
     """
     if solver not in _SOLVERS:
         raise FormulationError(f"unknown ensemble solver {solver!r}")
+    if method not in ("auto", "dense", "sparse"):
+        raise FormulationError(f"unknown factorization method {method!r}")
     if on_failure not in ("raise", "quarantine"):
         raise FormulationError(f"unknown failure mode {on_failure!r}")
     if space is None:
@@ -584,7 +573,10 @@ class _Evaluator:
     """Everything a shard needs to become an outcome, built once per call.
 
     Worker processes receive it in their payload, so no process rebuilds the
-    MNA system or the value program per shard.
+    MNA system or the value program per shard.  ``engine`` is the sparse
+    path's :class:`~repro.engine.sweep.SweepEngine` over the program's
+    :class:`_StampedStructure` (``None`` on the dense path, which needs
+    only the program).
     """
 
     frequencies: np.ndarray
@@ -593,17 +585,22 @@ class _Evaluator:
     program: object
     dense: bool
     options: _Options
+    engine: Optional[SweepEngine] = None
 
     @classmethod
     def build(cls, circuit, output, frequencies, space, options):
         # Both builders are looked up in this module at call time: the fault
         # harness patches ValueProgram here, and the benchmark counts builds.
         system = build_mna_system(circuit)
+        program = ValueProgram.from_circuit(circuit, space)
+        keys = sorted(set(program.constant_program.keys)
+                      | set(program.dynamic_program.keys))
+        engine = SweepEngine(_StampedStructure(program.dimension, keys),
+                             method=options.method)
         return cls(frequencies=frequencies, rhs=system.rhs,
-                   terms=_output_terms(system, output),
-                   program=ValueProgram.from_circuit(circuit, space),
-                   dense=use_dense(system.dimension, options.method),
-                   options=options)
+                   terms=_output_terms(system, output), program=program,
+                   dense=engine.is_dense, options=options,
+                   engine=None if engine.is_dense else engine)
 
     def __call__(self, values, weights=None, out=None,
                  threads=1) -> _ShardOutcome:
@@ -627,8 +624,8 @@ class _Evaluator:
                             solver, threads, options.policy, report, out)
         else:
             solver = "sparse"
-            _sparse_ensemble(self.program, self.rhs, s, values, self.terms,
-                             options.policy, report, out)
+            _sparse_ensemble(self.engine, self.program, self.rhs, s, values,
+                             self.terms, options.policy, report, out)
         if report is not None and report.failures:
             if options.on_failure == "raise":
                 failure = report.failures[0]

@@ -97,6 +97,10 @@ class ChaosProgram:
                                for i in range(rows.shape[0])}
 
     def __getattr__(self, name):
+        # Private names are never forwarded: unpickling (spawn workers)
+        # looks up ``_program`` before it is set, which would recurse.
+        if name.startswith("_"):
+            raise AttributeError(name)
         return getattr(self._program, name)
 
     def _global_index(self, values, position):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -14,21 +12,22 @@ from repro.analysis.montecarlo import (
     variance_attribution,
     yield_analysis,
 )
-from repro.circuits.miller_ota import build_miller_ota
 from repro.engine.session import AnalysisSession
-from repro.engine.sweep import SweepEngine
 from repro.errors import FormulationError, NetlistError, SingularMatrixError
 from repro.linalg.dense import batched_dense_lu, batched_solve
 from repro.mna.builder import build_mna_system
+from repro.circuits import build_rc_mesh
 from repro.montecarlo import (
     ParameterSpace,
     Tolerance,
     ValueProgram,
+    checkpointed_ensemble_sweep,
     ensemble_sweep,
+    parallel_ensemble_sweep,
     rebuild_sweep,
 )
 from repro.netlist.circuit import Circuit
-from repro.netlist.elements import Resistor
+from repro.netlist.elements import Capacitor, Resistor
 from repro.nodal.reduce import TransferSpec
 
 
@@ -249,13 +248,6 @@ class TestParameterSpace:
         with pytest.raises(NetlistError):
             space.apply(values[:2])
 
-    def test_admittance_scales_invert_resistors(self, toleranced_rc):
-        circuit, __ = toleranced_rc
-        space = ParameterSpace(circuit)
-        values = space.nominal_values[None, :] * 2.0
-        scales = space.admittance_scales(values)
-        assert scales[0, space.names.index("R1")] == pytest.approx(0.5)
-        assert scales[0, space.names.index("C1")] == pytest.approx(2.0)
 
 
 class TestValueProgram:
@@ -338,6 +330,31 @@ class TestEnsembleSweep:
             ensemble_sweep(circuit, spec, FREQUENCIES, space,
                            solver="cholesky")
 
+    @pytest.mark.parametrize("driver", ["ensemble", "parallel",
+                                        "checkpointed"])
+    def test_unknown_method_rejected_up_front(self, toleranced_rc, driver,
+                                              tmp_path, monkeypatch):
+        circuit, spec = toleranced_rc
+        path = tmp_path / "run.npz"
+
+        def draw(*args, **kwargs):
+            raise AssertionError("values drawn before the method was checked")
+
+        monkeypatch.setattr(ParameterSpace, "sample_values", draw)
+        run = {
+            "ensemble": lambda: ensemble_sweep(
+                circuit, spec, FREQUENCIES, samples=4, method="bogus"),
+            "parallel": lambda: parallel_ensemble_sweep(
+                circuit, spec, FREQUENCIES, samples=4, workers=1,
+                method="bogus"),
+            "checkpointed": lambda: checkpointed_ensemble_sweep(
+                circuit, spec, FREQUENCIES, samples=4, workers=1,
+                path=str(path), method="bogus"),
+        }[driver]
+        with pytest.raises(FormulationError, match="bogus"):
+            run()
+        assert not path.exists()
+
     def test_singular_member_raises(self):
         # An RC divider whose only path to the output opens when R2's
         # conductance collapses: force a value that shorts nothing but
@@ -357,6 +374,80 @@ class TestEnsembleSweep:
         with pytest.raises(SingularMatrixError):
             ensemble_sweep(circuit, "n1", np.array([0.0]), space,
                            values=values, solver="lapack")
+
+
+class TestSparseEnsembleChunks:
+    """A sparse ensemble whose per-sample sweeps span several chunks."""
+
+    def test_chunked_members_bit_identical(self, monkeypatch):
+        import repro.linalg.dense as dense_module
+        from repro.engine.sweep import SweepEngine
+
+        circuit, spec = build_rc_mesh(4)        # n = 18
+        names = [element.name for element in circuit
+                 if isinstance(element, (Resistor, Capacitor))][::3][:6]
+        space = ParameterSpace(circuit, {name: 0.1 for name in names})
+        frequencies = np.logspace(1, 7, 24)
+        # A few points per chunk, so every member's sweep replays its pivot
+        # order over several chunks.
+        monkeypatch.setattr(dense_module, "_SWEEP_CHUNK_ELEMENTS", 500)
+        system = build_mna_system(circuit)
+        factors = SweepEngine(system, method="sparse").factor_sweep(
+            2j * np.pi * frequencies)
+        assert len(factors.factors) >= 4
+
+        vectorized = ensemble_sweep(circuit, spec, frequencies, space,
+                                    samples=6, seed=3, method="sparse")
+        assert vectorized.solver == "sparse"
+        reference = rebuild_sweep(circuit, spec, frequencies, space,
+                                  values=vectorized.values, solver="lu",
+                                  method="sparse")
+        assert np.array_equal(vectorized.responses, reference.responses)
+        processes = parallel_ensemble_sweep(
+            circuit, spec, frequencies, space, values=vectorized.values,
+            shard_size=2, workers=2, method="sparse", on_failure="raise")
+        assert processes.parallel.workers == 2
+        assert np.array_equal(processes.responses, vectorized.responses)
+
+    def test_plan_rebuilt_only_for_new_pivot_order(self, monkeypatch):
+        import repro.engine.sweep as sweep_module
+
+        plan_class = sweep_module.SparseRefactorPlan
+        built = []
+
+        def spy(n, keys, pivot_rows, pivot_cols):
+            built.append((tuple(pivot_rows), tuple(pivot_cols)))
+            return plan_class(n, keys, pivot_rows, pivot_cols)
+
+        monkeypatch.setattr(sweep_module, "SparseRefactorPlan", spy)
+        circuit, spec = build_rc_mesh(4)
+        ensemble_sweep(circuit, spec, FREQUENCIES, samples=6, seed=3,
+                       method="sparse")
+        # Each member starts from a fresh pattern; members that pivot like
+        # the one before reuse its plan.
+        assert 1 <= len(built) < 6
+        assert all(first != second for first, second in zip(built, built[1:]))
+
+    def test_entry_cancelling_at_nominal(self):
+        # gm = 1/Rf: the (d, g) stamps cancel exactly at the design point,
+        # so the nominal system has no such entry, yet every sample does.
+        circuit = Circuit("cancel")
+        circuit.add_voltage_source("vin", "in", "0", 1.0)
+        circuit.add_resistor("Rs", "in", "g", 1e3)
+        circuit.add_resistor("Rf", "g", "d", 1e3)
+        circuit.add_vccs("M1", "d", "0", "g", "0", 1e-3)
+        circuit.add_resistor("RL", "d", "0", 5e3)
+        circuit.add_capacitor("CL", "d", "0", 1e-9)
+        assert (2, 1) not in build_mna_system(
+            circuit).merged_sparse_structure()[0]
+        space = ParameterSpace(circuit, {"Rf": 0.1, "M1": 0.1})
+        vectorized = ensemble_sweep(circuit, "d", FREQUENCIES, space,
+                                    samples=3, seed=1, solver="lu",
+                                    method="sparse")
+        reference = rebuild_sweep(circuit, "d", FREQUENCIES, space,
+                                  values=vectorized.values, solver="lu",
+                                  method="sparse")
+        assert np.array_equal(vectorized.responses, reference.responses)
 
 
 class TestBatchedSolve:
@@ -391,59 +482,6 @@ class TestBatchedSolve:
             batched_solve(np.zeros((2, 3, 4)), np.ones(3))
         with pytest.raises(LinAlgError):
             batched_solve(np.zeros((2, 3, 3), dtype=complex), np.ones(4))
-
-
-class TestParamBatchEngine:
-    """The generic affine parameter-batch APIs on formulation + sweep engine."""
-
-    def test_assemble_param_batch_matches_rebuild(self):
-        circuit, spec = build_miller_ota()
-        names = ["M1.gm", "M2.gds", "Cc", "CL"]
-        space = ParameterSpace(circuit, {name: 0.2 for name in names})
-        system = build_mna_system(circuit)
-        values = space.sample_values(4, seed=2)
-        scales = space.admittance_scales(values)
-        s = 2j * math.pi * FREQUENCIES
-        stack = system.assemble_param_batch(s, space.names, scales)
-        assert stack.shape == (4, len(s), system.dimension,
-                               system.dimension)
-        for sample in range(4):
-            rebuilt = build_mna_system(space.apply(values[sample]))
-            expected = rebuilt.assemble_batch(s)
-            np.testing.assert_allclose(stack[sample], expected, rtol=1e-12,
-                                       atol=1e-30)
-        with pytest.raises(ValueError):
-            system.assemble_param_batch(s, space.names, scales[:, :1])
-
-    @pytest.mark.parametrize("method", ["dense", "sparse"])
-    def test_solve_param_sweep_matches_rebuild(self, method):
-        circuit, spec = build_miller_ota()
-        names = ["M1.gm", "M2.gds", "Cc", "CL"]
-        space = ParameterSpace(circuit, {name: 0.2 for name in names})
-        system = build_mna_system(circuit)
-        engine = SweepEngine(system, method=method)
-        values = space.sample_values(3, seed=4)
-        s = 2j * math.pi * FREQUENCIES
-        solutions = engine.solve_param_sweep(s, space.names,
-                                             space.admittance_scales(values),
-                                             system.rhs)
-        assert solutions.shape == (3, len(s), system.dimension)
-        for sample in range(3):
-            rebuilt = build_mna_system(space.apply(values[sample]))
-            expected = SweepEngine(rebuilt, method=method).solve_sweep(
-                s, rebuilt.rhs)
-            np.testing.assert_allclose(solutions[sample], expected,
-                                       rtol=1e-9, atol=1e-30)
-        if method == "sparse":
-            assert engine.refactorization_count > 0
-
-    def test_stamp_columns_cached(self):
-        circuit, __ = build_miller_ota()
-        system = build_mna_system(circuit)
-        names = ["M1.gm", "Cc"]
-        first = system.stamp_columns(names)
-        second = system.stamp_columns(names)
-        assert first is second
 
 
 class TestAnalysisLayer:

@@ -225,22 +225,6 @@ class TestSweepQuarantineParity:
         assert engine.last_report.stage_counts["fast"] == len(s)
 
     @pytest.mark.parametrize("method", ["dense", "sparse"])
-    def test_solve_param_sweep_bit_identical(self, ladder, method):
-        circuit, __, space = ladder
-        system = build_mna_system(circuit)
-        s = 2j * np.pi * FREQUENCIES[:5]
-        values = space.sample_values(4, seed=1)
-        scales = space.admittance_scales(values)
-        legacy = SweepEngine(system, method=method).solve_param_sweep(
-            s, space.names, scales, system.rhs)
-        engine = SweepEngine(system, method=method)
-        resilient = engine.solve_param_sweep(s, space.names, scales,
-                                             system.rhs,
-                                             on_failure="quarantine")
-        assert np.array_equal(legacy, resilient)
-        assert engine.last_report.ok
-
-    @pytest.mark.parametrize("method", ["dense", "sparse"])
     def test_singular_point_quarantined_not_fatal(self, method):
         circuit = build_driven_floating_at_dc()
         system = build_mna_system(circuit)
@@ -310,14 +294,19 @@ class TestSweepQuarantineParity:
 class TestEnsembleQuarantine:
     """The ensemble acceptance path: injected faults → accurate reports."""
 
-    @pytest.mark.parametrize("solver", ["lapack", "lu"])
-    def test_no_fault_bit_parity(self, ua741, solver):
+    @pytest.mark.parametrize("solver, method", [
+        pytest.param("lapack", "auto", id="lapack"),
+        pytest.param("lu", "auto", id="lu"),
+        pytest.param("lu", "sparse", id="sparse"),
+    ])
+    def test_no_fault_bit_parity(self, ua741, solver, method):
         circuit, spec, space = ua741
         legacy = ensemble_sweep(circuit, spec, FREQUENCIES, space,
-                                samples=16, seed=2, solver=solver)
+                                samples=16, seed=2, solver=solver,
+                                method=method)
         resilient = ensemble_sweep(circuit, spec, FREQUENCIES, space,
                                    samples=16, seed=2, solver=solver,
-                                   on_failure="quarantine")
+                                   method=method, on_failure="quarantine")
         assert np.array_equal(legacy.responses, resilient.responses)
         assert resilient.report.ok
         assert resilient.surviving_mask().all()
